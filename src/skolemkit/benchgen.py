@@ -60,27 +60,19 @@ class BphpParams:
         return self.k * self.m + j
 
 
-def _hole_clause(p: BphpParams, b, i1: int, i2: int, with_y: bool):
-    """Clause saying: not both pigeons i1, i2 sit in hole b (and, when
-    with_y, that Y does not name b).  Literal sign: true iff var != b_j."""
+def _hole_clause(p: BphpParams, b, i1: int, i2: int):
+    """Clause saying: not both pigeons i1, i2 sit in hole b.
+    Literal sign: true iff var != b_j."""
     clause = []
     for i in (i1, i2):
         for j in range(1, p.m + 1):
             v = p.xvar(i, j)
             clause.append(-v if b[j - 1] else v)
-    if with_y:
-        for j in range(1, p.m + 1):
-            v = p.yvar(j)
-            clause.append(-v if b[j - 1] else v)
     return clause
 
 
 def gen_bphp(p: BphpParams) -> Specification:
-    """F(X,Y) = "hole Y holds at least two pigeons under X".
-
-    The attached neg_clauses give the natural clausal form of ~F:
-    2^m * k(k-1)/2 clauses of width 3m.
-    """
+    """F(X,Y) = "hole Y holds at least two pigeons under X"."""
     b = Builder()
     xw = {}
     for i in range(1, p.k + 1):
@@ -93,16 +85,10 @@ def gen_bphp(p: BphpParams) -> Specification:
     out = b.or_many(b.and_(in_hole[i1], in_hole[i2])
                     for i1 in range(p.k) for i2 in range(i1 + 1, p.k))
     matrix = b.extract([out])
-    neg = Cnf(p.k * p.m + p.m)
-    for bits in itertools.product((0, 1), repeat=p.m):
-        for i1 in range(1, p.k + 1):
-            for i2 in range(i1 + 1, p.k + 1):
-                neg.add(_hole_clause(p, bits, i1, i2, with_y=True))
     x_vars = [p.xvar(i, j) for i in range(1, p.k + 1)
               for j in range(1, p.m + 1)]
     y_vars = [p.yvar(j) for j in range(1, p.m + 1)]
-    return Specification(x_vars, y_vars, matrix, source_format="bphp",
-                         neg_clauses=neg)
+    return Specification(x_vars, y_vars, matrix, source_format="bphp")
 
 
 def bphp_lexfirst_skolem(p: BphpParams) -> SkolemVector:
@@ -147,7 +133,7 @@ def bphp_interpolation_pair(p: BphpParams) -> InterpolationInstance:
         side = phi1 if bits[0] else phi0
         for i1 in range(1, p.k + 1):
             for i2 in range(i1 + 1, p.k + 1):
-                side.add(_hole_clause(p, bits, i1, i2, with_y=False))
+                side.add(_hole_clause(p, bits, i1, i2))
     c_vars = range(1, nvars + 1)
     return InterpolationInstance(phi0, phi1, (), (), c_vars)
 

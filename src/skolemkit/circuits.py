@@ -273,6 +273,7 @@ class SkolemVector:
         self.arena = arena
         self.m = len(arena.outputs)
         self._check_acyclic()
+        self._flat = None
 
     def _check_acyclic(self):
         # max y index in the cone of each gate
@@ -302,9 +303,28 @@ class SkolemVector:
         got = b.import_circuit(self.arena, lambda name: b.inp(name))
         return b.extract([got[i - 1]])
 
-    @property
-    def psis(self) -> list:
-        return [self.psi(i) for i in range(1, self.m + 1)]
+    def flatten(self) -> Circuit:
+        """The vector as one circuit over ("x", i) names only, m outputs.
+
+        Each ("y", j) input is replaced by output j's cone.  Computed on
+        first use and kept: the vector is immutable.
+        """
+        if self._flat is None:
+            b = Builder()
+            ywire = {}
+
+            def resolve(name):
+                if name[0] == "x":
+                    return b.inp(name)
+                return ywire[name[1]]
+
+            outs = []
+            for i in range(1, self.m + 1):
+                w = b.import_circuit(self.psi(i), resolve)[0]
+                ywire[i] = w
+                outs.append(w)
+            self._flat = b.extract(outs)
+        return self._flat
 
     @property
     def size(self) -> int:
@@ -312,29 +332,13 @@ class SkolemVector:
 
     def eval(self, xbits) -> list:
         assign = {("x", i + 1): xbits[i] for i in range(self.n)}
-        out = []
-        # outputs are evaluated in order; later psis may read earlier ys
-        for i, o in enumerate(self.arena.outputs, start=1):
-            sub = Builder()
-            got = sub.import_circuit(
-                Circuit(self.arena.gates, (o,)), lambda name: sub.inp(name)
-            )
-            val = sub.extract(got).eval(assign)[0]
-            assign[("y", i)] = val
-            out.append(val)
-        return out
+        return list(self.flatten().eval(assign))
 
     def eval_masks(self, width: int) -> list:
         """Outputs on all 2**width X-assignments at once (n == width)."""
         assign = input_masks([("x", i) for i in range(1, self.n + 1)])
         mask = (1 << (1 << self.n)) - 1
-        outs = []
-        # sequential: psi_i may read ("y", j) for j < i
-        for i in range(1, self.m + 1):
-            v = self.psi(i).eval_masks(assign, mask=mask)[0]
-            assign[("y", i)] = v
-            outs.append(v)
-        return outs
+        return list(self.flatten().eval_masks(assign, mask=mask))
 
 
 def vector_from_circuits(n: int, psis) -> SkolemVector:

@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import benchgen, interplab, synth
-from .circuits import Builder, SkolemVector
-from .formula import (ParseError, parse_spec, parse_skolem, emit_skolem,
-                      write_qdimacs)
+from .circuits import vector_from_circuits
+from .formula import (ParseError, parse_aiger, parse_spec, parse_skolem,
+                      emit_skolem, write_qdimacs)
 from .oracle import Oracle, ExternalSolverError, approx_count_projected
 from .solver import ResourceLimitError
 from .verify import verify_skolem, check_unique
@@ -94,9 +94,8 @@ def _cmd_synth(args) -> int:
         vec, cover = synth.synth_cover(spec, oracle, args.k0, args.seed)
     elif args.strategy == "unique":
         learned = []
-        for i in range(1, spec.m + 1):
-            z = spec.x_vars + spec.y_vars[:i - 1]
-            if not check_unique(spec, i, z, oracle):
+        for i, circuit in synth.unique_bits(spec, oracle, args.d, args.seed):
+            if circuit is None:
                 report["failedBit"] = i
                 rep = _base_report(args, oracle)
                 rep.update(report)
@@ -105,12 +104,8 @@ def _cmd_synth(args) -> int:
                 print(f"Y_{i} is not uniquely defined; "
                       f"unique strategy inapplicable", file=sys.stderr)
                 return EXIT_COUNTEREXAMPLE
-            learned.append(synth.synth_unique_bit(
-                spec, i, oracle, d=args.d, seed=args.seed))
-        b = Builder()
-        outs = [b.import_circuit(c, lambda nm: b.inp(nm))[0]
-                for c in learned]
-        vec = SkolemVector(spec.n, b.extract(outs))
+            learned.append(circuit)
+        vec = vector_from_circuits(spec.n, learned)
     else:  # auto
         vec = synth.synth_auto(spec, oracle,
                                {"seed": args.seed, "d": args.d,
@@ -140,9 +135,11 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     try:
         with open(args.skolem) as fh:
-            vec = parse_skolem(fh.read())
+            text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {args.skolem}: {e}")
+    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    vec = (parse_aiger if first.startswith("aag") else parse_skolem)(text)
     if vec.m != spec.m or vec.n != spec.n:
         raise UsageError(
             f"skolem vector shape ({vec.n} in / {vec.m} out) does not "

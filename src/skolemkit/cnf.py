@@ -44,9 +44,8 @@ class Cnf:
 
 
 class TseitinResult:
-    def __init__(self, cnf: Cnf, gate_lits: list, output_lits: list, aux_vars: set):
+    def __init__(self, cnf: Cnf, output_lits: list, aux_vars: set):
         self.cnf = cnf
-        self.gate_lits = gate_lits          # gate index -> literal
         self.output_lits = output_lits      # circuit outputs -> literals
         self.aux_vars = aux_vars            # freshly introduced variables
 
@@ -112,7 +111,7 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
             if unit not in units:
                 cnf.add([unit])
                 units.add(unit)
-    return TseitinResult(cnf, lits, out_lits, aux)
+    return TseitinResult(cnf, out_lits, aux)
 
 
 def add_xor_constraint(cnf: Cnf, variables, parity: int) -> list[int]:

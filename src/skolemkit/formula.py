@@ -10,12 +10,8 @@ AIGER.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .circuits import Builder, Circuit, SkolemVector, input_masks
 from .cnf import Cnf, tseitin
-
-Variable = namedtuple("Variable", ["id", "role", "role_index"])
 
 
 class ParseError(ValueError):
@@ -27,8 +23,7 @@ class ParseError(ValueError):
 class Specification:
     """A relational formula over input variables X and output variables Y."""
 
-    def __init__(self, x_vars, y_vars, matrix: Circuit, source_format="built",
-                 neg_clauses=None):
+    def __init__(self, x_vars, y_vars, matrix: Circuit, source_format="built"):
         self.x_vars = list(x_vars)
         self.y_vars = list(y_vars)
         if set(self.x_vars) & set(self.y_vars):
@@ -39,8 +34,6 @@ class Specification:
                 raise ValueError(f"matrix reads undeclared variable {name}")
         self.matrix = matrix
         self.source_format = source_format
-        # optional natural clausal form of NOT F over the declared ids
-        self.neg_clauses = neg_clauses
         self._enc = None
 
     @property
@@ -50,13 +43,6 @@ class Specification:
     @property
     def m(self):
         return len(self.y_vars)
-
-    def variables(self):
-        out = [Variable(v, "input", i + 1) for i, v in enumerate(self.x_vars)]
-        out += [Variable(v, "output", i + 1) for i, v in enumerate(self.y_vars)]
-        for v in sorted(self.aux_vars()):
-            out.append(Variable(v, "auxiliary", 0))
-        return out
 
     def _encode(self):
         if self._enc is None:
@@ -99,16 +85,9 @@ def substitute(spec: Specification, binding) -> Circuit:
     if isinstance(binding, SkolemVector):
         if binding.m != spec.m or binding.n != spec.n:
             raise ValueError("Skolem vector shape does not match spec")
-        yg = {}
-
-        def resolve(name):
-            if name[0] == "x":
-                return xg[spec.x_vars[name[1] - 1]]
-            return yg[name[1]]
-
-        for i in range(1, spec.m + 1):
-            yg[i] = b.import_circuit(binding.psi(i), resolve)[0]
-        ymap = {spec.y_vars[i - 1]: yg[i] for i in range(1, spec.m + 1)}
+        yg = b.import_circuit(binding.flatten(),
+                              lambda name: xg[spec.x_vars[name[1] - 1]])
+        ymap = dict(zip(spec.y_vars, yg))
     else:
         if not isinstance(binding, dict):
             binding = {spec.y_vars[i]: bit for i, bit in enumerate(binding)}
@@ -194,7 +173,8 @@ def parse_spec(text: str) -> Specification:
             if abs(lit) > nvars:
                 raise ParseError(f"variable {abs(lit)} out of range "
                                  f"(declared {nvars})", lineno)
-        clauses.append((lineno, lits))
+        # a repeated literal is redundant; gate matching expects none
+        clauses.append((lineno, list(dict.fromkeys(lits))))
     if nvars is None:
         raise ParseError("missing problem header")
     aux = []
@@ -354,7 +334,7 @@ def _arg_name(tok: str, lineno: int):
         return ("const", 0)
     if tok == "1":
         return ("const", 1)
-    kind, num = tok[0], tok[1:]
+    kind, num = tok[:1], tok[1:]
     if kind in ("x", "y", "g") and num.isdigit():
         return (kind, int(num))
     raise ParseError(f"bad argument {tok!r}", lineno)
@@ -471,22 +451,7 @@ def parse_skolem(text: str) -> SkolemVector:
 # ASCII AIGER export (XOR/OR lowered to AND/NOT)
 
 def emit_aiger(vec: SkolemVector) -> str:
-    # substitute y-dependencies so outputs are pure functions of X
-    b = Builder()
-    ywire = {}
-
-    def resolve(name):
-        if name[0] == "x":
-            return b.inp(name)
-        return ywire[name[1]]
-
-    outs = []
-    for i in range(1, vec.m + 1):
-        w = b.import_circuit(vec.psi(i), resolve)[0]
-        ywire[i] = w
-        outs.append(w)
-    flat = b.extract(outs)
-
+    flat = vec.flatten()
     inp_lit = {("x", i): 2 * i for i in range(1, vec.n + 1)}
     ands = []
     next_var = [vec.n]
@@ -525,34 +490,47 @@ def emit_aiger(vec: SkolemVector) -> str:
 
 def parse_aiger(text: str) -> SkolemVector:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    hdr = lines[0].split()
+    hdr = lines[0].split() if lines else []
     if len(hdr) < 6 or hdr[0] != "aag":
         raise ParseError("not an ascii aiger file", 1)
-    maxv, ni, nl, no, na = map(int, hdr[1:6])
+
+    def ints(toks, count, what):
+        if len(toks) != count:
+            raise ParseError(f"{what}: expected {count} fields")
+        try:
+            vals = [int(t) for t in toks]
+        except ValueError:
+            raise ParseError(f"{what}: non-integer field")
+        if any(v < 0 for v in vals):
+            raise ParseError(f"{what}: negative field")
+        return vals
+
+    maxv, ni, nl, no, na = ints(hdr[1:6], 5, "header")
     if nl:
         raise ParseError("latches not supported", 1)
     body = lines[1:]
-    in_lits = [int(body[i]) for i in range(ni)]
-    out_lits = [int(body[ni + i]) for i in range(no)]
-    ands = [tuple(map(int, body[ni + no + i].split())) for i in range(na)]
+    if len(body) < ni + no + na:
+        raise ParseError("truncated aiger body")
+    in_lits = [ints(body[i].split(), 1, "input")[0] for i in range(ni)]
+    out_lits = [ints(body[ni + i].split(), 1, "output")[0]
+                for i in range(no)]
+    ands = [ints(body[ni + no + i].split(), 3, "and gate")
+            for i in range(na)]
     b = Builder(lower_xor=False)
     gate_of = {0: b.const(0), 1: b.const(1)}
     for pos, l in enumerate(in_lits, start=1):
         gate_of[l] = b.inp(("x", pos))
         gate_of[l ^ 1] = b.not_(gate_of[l])
+
+    def get(l):
+        if l not in gate_of:
+            if (l ^ 1) in gate_of:
+                gate_of[l] = b.not_(gate_of[l ^ 1])
+            else:
+                raise ParseError(f"undefined literal {l}")
+        return gate_of[l]
+
     for lhs, r0, r1 in ands:
-        def get(l):
-            if l not in gate_of:
-                if (l ^ 1) in gate_of:
-                    gate_of[l] = b.not_(gate_of[l ^ 1])
-                else:
-                    raise ParseError(f"undefined literal {l}")
-            return gate_of[l]
         gate_of[lhs] = b.and_(get(r0), get(r1))
         gate_of[lhs ^ 1] = b.not_(gate_of[lhs])
-    outs = []
-    for l in out_lits:
-        if l not in gate_of:
-            gate_of[l] = b.not_(gate_of[l ^ 1])
-        outs.append(gate_of[l])
-    return SkolemVector(ni, b.extract(outs))
+    return SkolemVector(ni, b.extract([get(l) for l in out_lits]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .circuits import Builder, Circuit, SkolemVector
+from .circuits import Builder, Circuit, vector_from_circuits
 from .cnf import Cnf, tseitin
 from .formula import Specification
 from .oracle import Oracle
@@ -156,11 +156,11 @@ def solve_with_proof(cnf: Cnf, max_conflicts: int = None):
     return "unsat", expand_chains(s)
 
 
-def expand_chains(solver: Solver, origin_of=None) -> ResolutionProof:
+def expand_chains(solver: Solver) -> ResolutionProof:
     """Expand the solver's learned-clause chains into binary resolutions.
 
-    Materializes only clauses in the cone of the empty-clause chain.
-    origin_of(clause_lits) labels axioms (default "input").
+    Materializes only clauses in the cone of the empty-clause chain;
+    axioms are labelled "input".
     """
     proof = ResolutionProof()
     memo = {}
@@ -170,8 +170,7 @@ def expand_chains(solver: Solver, origin_of=None) -> ResolutionProof:
             return memo[cid]
         cl = solver.by_id[cid]
         if cl.chain is None:
-            origin = origin_of(cl.lits) if origin_of else "input"
-            idx = proof.add_axiom(cl.lits, origin)
+            idx = proof.add_axiom(cl.lits)
         else:
             idx = replay(cl.chain, set(cl.lits))
         memo[cid] = idx
@@ -220,6 +219,8 @@ class InterpolationInstance:
             for lit in clause:
                 if abs(lit) in self.a_vars:
                     raise ValueError(f"phi1 mentions A variable {abs(lit)}")
+        self._sides = ({frozenset(c) for c in phi0.clauses},
+                       {frozenset(c) for c in phi1.clauses})
 
     def combined(self) -> Cnf:
         cnf = Cnf(max(self.phi0.nvars, self.phi1.nvars))
@@ -230,9 +231,8 @@ class InterpolationInstance:
         return cnf
 
     def origin_of(self, clause) -> str:
-        key = set(clause)
-        in0 = any(set(c) == key for c in self.phi0.clauses)
-        in1 = any(set(c) == key for c in self.phi1.clauses)
+        key = frozenset(clause)
+        in0, in1 = (key in side for side in self._sides)
         if in0 and in1:
             return "shared"
         if in0:
@@ -354,11 +354,8 @@ def slivovsky_synth(spec: Specification, oracle: Oracle = None):
             return bb.inp(("y", spec.y_vars.index(v) + 1))
 
         built[i] = bb.extract([bb.not_(bb.import_circuit(icirc, invar)[0])])
-    vb = Builder()
-    outs = []
-    for i in range(1, spec.m + 1):
-        outs.append(vb.import_circuit(built[i], lambda nm: vb.inp(nm))[0])
-    return SkolemVector(spec.n, vb.extract(outs)), sizes
+    return vector_from_circuits(
+        spec.n, [built[i] for i in range(1, spec.m + 1)]), sizes
 
 
 def relabel_axioms(proof: ResolutionProof,
@@ -458,17 +455,16 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
 # ---------------------------------------------------------------------------
 # size experiment
 
-def interp_size_experiment(m_range=(1, 2, 3), k_policy=None,
-                           oracle: Oracle = None, max_conflicts=None):
+def interp_size_experiment(m_range=(1, 2, 3), max_conflicts=None):
     """Rows {m, k, proofLength, interpolantSize, lexFirstSize}.
 
-    Defaults to the k = 2^m + 1 regime where the bit-1 pair is genuinely
+    Uses the k = 2^m + 1 regime where the bit-1 pair is genuinely
     unsatisfiable.  Cells that exhaust resources leave their fields None.
     """
     from . import benchgen
     rows = []
     for m in m_range:
-        k = k_policy(m) if k_policy else (1 << m) + 1
+        k = (1 << m) + 1
         row = {"m": m, "k": k, "proofLength": None,
                "interpolantSize": None, "lexFirstSize": None}
         params = benchgen.BphpParams(k, m, regime="interpolation")

@@ -21,11 +21,13 @@ import math
 
 import numpy as np
 
-from .circuits import Builder, Circuit, SkolemVector, constant_vector
+from .circuits import (Builder, Circuit, SkolemVector, constant_vector,
+                       vector_from_circuits)
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
 from .oracle import (Oracle, approx_count_projected, labeled_rng,
                      sample_projected)
+from .verify import check_unique
 
 LEX_LIMIT = 16
 SAMPLE_RETRIES = 8          # empty-cell retries, one fewer hash bit each
@@ -102,12 +104,10 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
 class CoverSet:
     """An ordered covering set S' of output tuples with run statistics."""
 
-    def __init__(self, elements, iterations=0, oracle_calls=0,
-                 uncovered_estimates=None):
+    def __init__(self, elements, iterations=0, uncovered_estimates=None):
         self.elements = list(elements)
         assert len(set(self.elements)) == len(self.elements)
         self.iterations = iterations
-        self.oracle_calls = oracle_calls
         self.uncovered_estimates = uncovered_estimates or []
 
     def __len__(self):
@@ -180,7 +180,7 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
             if k > 1 << spec.m:
                 raise BudgetExceededError(
                     f"cover budget exhausted at k={k}")
-    cover = CoverSet(elements, iterations, oracle.calls, estimates)
+    cover = CoverSet(elements, iterations, estimates)
     return build_cover_circuit(spec, cover), cover
 
 
@@ -403,10 +403,8 @@ def count_consistent(encoding: CircuitEncoding,
 class CandidatePool:
     """d*s circuits consistent with every stored counterexample."""
 
-    def __init__(self, circuits, d: int = None, delta: float = 0.2):
+    def __init__(self, circuits):
         self.circuits = list(circuits)
-        self.d = d
-        self.delta = delta
 
     def __len__(self):
         return len(self.circuits)
@@ -506,10 +504,8 @@ def majority_hypothesis(pool: CandidatePool) -> Circuit:
 # unique-bit learner and dispatcher
 
 class LearnerState:
-    def __init__(self, i: int, s: int, seed):
-        self.i = i
+    def __init__(self, s: int):
         self.s = s
-        self.seed = seed
         self.counterexamples = []  # (xbits, ybits), each satisfying F
         self.round = 0
 
@@ -550,7 +546,7 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
     oracle = oracle or Oracle()
     s = s0 if s0 is not None else max(spec.n + i, 4)
     while s <= max_s:
-        state = LearnerState(i, s, seed)
+        state = LearnerState(s)
         if state_log is not None:
             state_log.append(state)
         budget = math.ceil(64 * s * math.log2(s + 2))
@@ -573,45 +569,43 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
         f"unique-bit learner failed up to size bound {max_s} for Y_{i}")
 
 
+def unique_bits(spec: Specification, oracle: Oracle, d: int = 4, seed=0):
+    """Yield (i, circuit) for i = 1..m; circuit is None when Y_i is not
+    unique given X and Y^{1:i-1}.
+
+    Each bit is checked, then learned, before the next bit is checked; a
+    caller that stops at a non-unique bit makes no further oracle calls.
+    """
+    for i in range(1, spec.m + 1):
+        z = spec.x_vars + spec.y_vars[:i - 1]
+        if check_unique(spec, i, z, oracle):
+            yield i, synth_unique_bit(spec, i, oracle, d=d, seed=seed)
+        else:
+            yield i, None
+
+
 def synth_auto(spec: Specification, oracle: Oracle = None,
                cfg: dict = None) -> SkolemVector:
     """Dispatch: small m -> lex; unique bits learned; rest covered.
 
-    The synthesized vector is verified before being returned.
+    The result is not verified here; callers check it with verify_skolem.
     """
-    from .verify import check_unique, verify_skolem  # circular at import time
     cfg = cfg or {}
     oracle = oracle or Oracle()
     lex_limit = cfg.get("lex_limit", 6)
     seed = cfg.get("seed", 0)
     if spec.m <= lex_limit:
-        vec = synth_lex(spec)
-    else:
-        learned = {}  # output index -> Circuit over ("x"/"y") names
-        for i in range(1, spec.m + 1):
-            z = spec.x_vars + spec.y_vars[:i - 1]
-            if check_unique(spec, i, z, oracle):
-                learned[i] = synth_unique_bit(
-                    spec, i, oracle, d=cfg.get("d", 4), seed=seed)
-        rest = [i for i in range(1, spec.m + 1) if i not in learned]
-        cover_psis = {}
-        if rest:
-            residual = _residual_spec(spec, learned, rest)
-            vec_rest, _ = synth_cover(residual, oracle,
-                                      cfg.get("k0", 1), seed)
-            for pos, i in enumerate(rest, start=1):
-                cover_psis[i] = vec_rest.psi(pos)  # over X only
-        b = Builder()
-        outs = []
-        for i in range(1, spec.m + 1):
-            c = learned.get(i) or cover_psis[i]
-            outs.append(b.import_circuit(c, lambda nm: b.inp(nm))[0])
-        vec = SkolemVector(spec.n, b.extract(outs))
-    verdict = verify_skolem(spec, vec, oracle)
-    if not verdict.is_valid:
-        raise AssertionError(
-            f"synthesized vector failed verification: {verdict.witness}")
-    return vec
+        return synth_lex(spec)
+    psis = {i: c for i, c in unique_bits(spec, oracle, cfg.get("d", 4), seed)
+            if c is not None}
+    rest = [i for i in range(1, spec.m + 1) if i not in psis]
+    if rest:
+        residual = _residual_spec(spec, psis, rest)
+        vec_rest, _ = synth_cover(residual, oracle, cfg.get("k0", 1), seed)
+        for pos, i in enumerate(rest, start=1):
+            psis[i] = vec_rest.psi(pos)  # over X only
+    return vector_from_circuits(spec.n,
+                                [psis[i] for i in range(1, spec.m + 1)])
 
 
 def _residual_spec(spec: Specification, learned: dict, rest) -> Specification:

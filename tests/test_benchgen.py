@@ -36,20 +36,6 @@ def test_bphp_characterization(k, m, regime):
         a = dict(zip(range(1, nm + m + 1), bits))
         want = bphp_reference(p, list(bits[:nm]), list(bits[nm:]))
         assert bool(spec.eval(a)) == want
-        # neg_clauses is the clausal form of the complement
-        neg_ok = all(any(a[abs(l)] == (l > 0) for l in c)
-                     for c in spec.neg_clauses.clauses)
-        assert neg_ok == (not want)
-
-
-def test_bphp_neg_clause_count_and_width():
-    for k, m in [(3, 1), (5, 2), (3, 2)]:
-        regime = "interpolation" if k == (1 << m) + 1 else "paper"
-        spec = gen_bphp(BphpParams(k, m, regime=regime))
-        want = (1 << m) * k * (k - 1) // 2
-        assert len(spec.neg_clauses.clauses) == want
-        assert all(len(c) == 3 * m for c in spec.neg_clauses.clauses)
-    assert (1 << 2) * 3 * 2 // 2 == 12  # the (3, 2) cell
 
 
 def test_bphp_regime_validation():

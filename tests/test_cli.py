@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from skolemkit import synth
+from skolemkit.circuits import constant_vector
 from skolemkit.cli import main
 
 IDENTITY = "p cnf 2 2\na 1 0\ne 2 0\n-1 2 0\n1 -2 0\n"
@@ -66,8 +68,48 @@ def test_synth_unique_inapplicable_exit_10(tmp_path):
     assert report["verdict"] == "not-unique" and report["failedBit"] == 1
 
 
+def test_synth_aiger_then_verify_ok(tmp_path, spec_file):
+    out = tmp_path / "vec.aag"
+    assert main(["synth", spec_file, "--format", "aiger-ascii",
+                 "-o", str(out)]) == 0
+    assert main(["verify", spec_file, str(out)]) == 0
+
+
+def test_auto_checks_the_vector_once(tmp_path, spec_file):
+    rep = tmp_path / "rep.json"
+    assert main(["synth", spec_file, "--json", str(rep)]) == 0
+    # auto picks lex here, which needs no oracle: the one call is the
+    # error-formula check
+    assert read_json(str(rep))["oracle"]["calls"] == 1
+
+
+def test_auto_invalid_vector_exit_10(tmp_path, spec_file, monkeypatch):
+    monkeypatch.setattr(synth, "synth_lex", lambda spec, m_limit=16:
+                        constant_vector(spec.n, [0] * spec.m))
+    rep = tmp_path / "rep.json"
+    assert main(["synth", spec_file, "--json", str(rep)]) == 10
+    assert read_json(str(rep))["verdict"] == "counterexample"
+
+
 # ---------------------------------------------------------------------------
 # usage errors
+
+def test_verify_malformed_vector_exit_64(tmp_path, spec_file, capsys):
+    aag = tmp_path / "vec.aag"
+    assert main(["synth", spec_file, "--format", "aiger-ascii",
+                 "-o", str(aag)]) == 0
+    cut = tmp_path / "cut.aag"
+    cut.write_text("\n".join(aag.read_text().splitlines()[:2]) + "\n")
+    bad = [cut]
+    for i, text in enumerate(["skolem 1 1\ny1 := \n",
+                              "skolem 1 1\ng1 = AND(x1,)\ny1 := g1\n"]):
+        bad.append(tmp_path / f"bad{i}.skolem")
+        bad[-1].write_text(text)
+    capsys.readouterr()
+    for path in bad:
+        assert main(["verify", spec_file, str(path)]) == 64
+    assert "Traceback" not in capsys.readouterr().err
+
 
 def test_usage_errors_exit_64(tmp_path, spec_file):
     with pytest.raises(SystemExit) as e:
