@@ -15,7 +15,6 @@ import itertools
 from .circuits import Builder, Circuit, vector_from_circuits
 from .cnf import Cnf, tseitin
 from .formula import Specification
-from .oracle import Oracle
 from .solver import Solver
 
 
@@ -321,8 +320,12 @@ def _substituted_side(spec: Specification, i: int, bit: int,
     return enc.aux_vars
 
 
-def slivovsky_synth(spec: Specification, oracle: Oracle = None):
+def slivovsky_synth(spec: Specification):
     """Per-bit synthesis by interpolation, last output bit first.
+
+    Every refutation runs on the internal proof-logging engine
+    (solve_with_proof), since interpolants are read off its resolution
+    proofs; no Oracle session or external backend is involved.
 
     Returns (SkolemVector, sizes) where sizes[i] is the interpolant size
     for bit i.  Raises InterpolationInapplicableError when some pair is

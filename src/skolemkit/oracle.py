@@ -116,7 +116,12 @@ class Oracle:
         t0 = time.monotonic()
         try:
             if self.backend == "internal":
-                res = _solve_internal(cnf, assumptions, self.max_conflicts)
+                s = Solver(cnf)
+                if s.solve(_assumption_lits(assumptions),
+                           max_conflicts=self.max_conflicts):
+                    res = OracleResult("sat", s.model())
+                else:
+                    res = OracleResult("unsat")
             elif self.backend.startswith("exec:"):
                 res = solve_external(cnf, {"command": self.backend[5:],
                                            "timeout": self.timeout},
@@ -155,19 +160,6 @@ def _assumption_lits(assumptions) -> list:
     if isinstance(assumptions, dict):
         return [v if b else -v for v, b in assumptions.items()]
     return list(assumptions)
-
-
-def _solve_internal(cnf: Cnf, assumptions, max_conflicts) -> OracleResult:
-    s = Solver(cnf)
-    if s.solve(_assumption_lits(assumptions), max_conflicts=max_conflicts):
-        return OracleResult("sat", s.model())
-    return OracleResult("unsat")
-
-
-def solve(cnf: Cnf, assumptions: dict = None, max_conflicts: int = None
-          ) -> OracleResult:
-    """One-shot internal satisfiability query."""
-    return _solve_internal(cnf, assumptions, max_conflicts)
 
 
 def solve_external(cnf: Cnf, adapter_config: dict,
@@ -248,6 +240,7 @@ def solve_external(cnf: Cnf, adapter_config: dict,
 # hash-based projected counting and sampling
 
 PIVOT = 40
+SAMPLE_RETRIES = 8          # empty-cell retries, one fewer hash bit each
 
 
 def _survivors(cnf: Cnf, proj, level: int, rng, oracle: Oracle, cap: int):
@@ -310,8 +303,8 @@ def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
                      ) -> OracleResult:
     """Solve cnf in a random XOR cell of 2^-hash_bits of the projection.
 
-    An unsat result means the cell was empty; callers retry with a new
-    seed or fewer bits.
+    An unsat result means the cell was empty; sample_with_retries retries
+    with fewer bits.
     """
     if hash_bits < 0:
         raise ValueError("hash_bits must be nonnegative")
@@ -327,3 +320,20 @@ def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
         res = OracleResult("sat", {v: res.model[v]
                                    for v in range(1, cnf.nvars + 1)})
     return res
+
+
+def sample_with_retries(cnf: Cnf, proj, hash_bits: int, seed, oracle: Oracle,
+                        label: str):
+    """A model of cnf from a random XOR cell, or None when cnf is unsat.
+
+    Each empty cell is retried with one fewer hash bit, as sample_projected
+    labelled f"{label}/{r}" for retry r, up to SAMPLE_RETRIES times; if
+    hashing keeps missing a nonempty set, a plain solve decides.
+    """
+    for r in range(SAMPLE_RETRIES + 1):
+        res = sample_projected(cnf, proj, max(0, hash_bits - r), seed,
+                               oracle, label=f"{label}/{r}")
+        if res.is_sat:
+            return res.model
+    res = oracle.solve(cnf)
+    return res.model if res.is_sat else None

@@ -26,12 +26,10 @@ from .circuits import (Builder, Circuit, SkolemVector, constant_vector,
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
 from .oracle import (Oracle, approx_count_projected, labeled_rng,
-                     sample_projected)
+                     sample_with_retries)
 from .verify import check_unique
 
 LEX_LIMIT = 16
-SAMPLE_RETRIES = 8          # empty-cell retries, one fewer hash bit each
-EXACT_SPACE = 1 << 16       # below this, sample by exact enumeration
 DOUBLING_CAP = 1 << 10      # max circuit-size guess for the learner
 
 
@@ -157,20 +155,10 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
             # exact zero comes from the enumeration path: certified unsat
             break
         hb = max(0, math.ceil(math.log2(max(1, est.estimate / (2 * k)))))
-        model = None
-        for r in range(SAMPLE_RETRIES + 1):
-            res = sample_projected(uncov, spec.x_vars, max(0, hb - r),
-                                   seed, oracle,
-                                   label=f"cover/{iterations}/{r}")
-            if res.is_sat:
-                model = res.model
-                break
+        model = sample_with_retries(uncov, spec.x_vars, hb, seed, oracle,
+                                    label=f"cover/{iterations}")
         if model is None:
-            # hashing kept missing a nonempty set; fall back to any model
-            res = oracle.solve(uncov)
-            if not res.is_sat:
-                break
-            model = res.model
+            break
         ybits = tuple(model[v] for v in spec.y_vars)
         assert ybits not in elements
         elements.append(ybits)
@@ -187,24 +175,32 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
 # ---------------------------------------------------------------------------
 # bounded-circuit encoding for the unique-bit learner
 
-class CircuitEncoding:
-    """CNF whose models are circuits of exactly s gates over X u Y^{1:i-1}
-    consistent with the stored counterexamples.
+VECTOR_LIMIT = 1 << 24      # max skeletons x table-combos for exact work
 
-    Per gate: a one-hot choice among ordered operand pairs (inputs and
-    strictly earlier gates) plus 4 truth-table bits; the last gate is the
-    output.  With a single available operand the gate degenerates to the
-    unary table (mixed entries are forced to 0 to avoid double counting).
+
+class CircuitEncoding:
+    """The circuits of exactly s gates over X u Y^{1:i-1} consistent with
+    the counterexamples added so far, held two ways.
+
+    * cnf: per gate, a one-hot choice among ordered operand pairs (inputs
+      and strictly earlier gates) plus 4 truth-table bits; the last gate
+      is the output.  With a single available operand the gate
+      degenerates to the unary table (mixed entries are forced to 0 to
+      avoid double counting).
+    * masks: when skeletons x table-combos is at most VECTOR_LIMIT, one
+      boolean row per gate-operand skeleton (in itertools.product order)
+      over the 16^s table combos, True where the combo is consistent.
+      Otherwise None, and sampling goes through the CNF.
+
+    add_case narrows both in place.
     """
 
-    def __init__(self, n: int, i: int, s: int, counterexamples):
+    def __init__(self, n: int, i: int, s: int):
         self.n = n
         self.i = i
         self.s = s
         self.p = n + i - 1  # circuit inputs: X then Y_1..Y_{i-1}
-        # counterexamples: list of (xbits, ybits) with full y
-        self.cases = [(tuple(x) + tuple(y[:i - 1]), y[i - 1])
-                      for x, y in counterexamples]
+        self.cases = []     # (input bits, target bit) per counterexample
         self.cnf = Cnf()
         self.pairs = []      # per gate: list of (a, b) operand slots
         self.sel = []        # per gate: one selection var per pair
@@ -234,8 +230,29 @@ class CircuitEncoding:
             self.space_size *= len(pairs) * factor
         self.structure_vars = [v for g in range(s)
                                for v in self.sel[g] + self.tt[g]]
-        for inp, target in self.cases:
-            self._add_case(inp, target)
+        self.skeletons = None
+        self.masks = None
+        if math.prod(map(len, self.pairs)) * 16 ** s <= VECTOR_LIMIT:
+            self.skeletons = list(itertools.product(
+                *[range(len(pp)) for pp in self.pairs]))
+            combos = np.arange(16 ** s)
+            self._digits = [((combos >> (4 * t)) & 15).astype(np.uint8)
+                            for t in range(s)]
+            base = np.ones(len(combos), dtype=bool)
+            for t in range(s):
+                if self.pairs[t] == [(0, 0)]:
+                    base &= (self._digits[t] & 0b0110) == 0
+            self.masks = np.tile(base, (len(self.skeletons), 1))
+
+    def add_case(self, x, y):
+        """Keep only the circuits that map x (and y's first i-1 bits) to
+        y's bit i."""
+        inp = tuple(x) + tuple(y[:self.i - 1])
+        target = y[self.i - 1]
+        self.cases.append((inp, target))
+        self._add_case(inp, target)
+        if self.masks is not None:
+            self._narrow(inp, target)
 
     def _add_case(self, inp, target):
         val = [self.cnf.fresh() for _ in range(self.s)]
@@ -259,21 +276,25 @@ class CircuitEncoding:
                     self.cnf.add(premise + [val[t], -ttv])
         self.cnf.add([val[-1]] if target else [-val[-1]])
 
-    # -- structure-level helpers (no SAT involved) --
+    def _narrow(self, inp, target):
+        """AND one case into every mask row.  A depth-first walk over the
+        gates' operand pairs visits the skeletons in row order and
+        evaluates each shared prefix of gates once."""
+        p, last = self.p, self.s - 1
+        row = 0
 
-    def eval_structure(self, choice, tables, inp):
-        """choice: pair index per gate; tables: tt int per gate."""
-        vals = []
-        for t in range(self.s):
-            a, b = self.pairs[t][choice[t]]
-            va = inp[a] if a < self.p else vals[a - self.p]
-            vb = inp[b] if b < self.p else vals[b - self.p]
-            vals.append((tables[t] >> (2 * va + vb)) & 1)
-        return vals[-1]
-
-    def consistent(self, choice, tables):
-        return all(self.eval_structure(choice, tables, inp) == tgt
-                   for inp, tgt in self.cases)
+        def walk(t, vals):
+            nonlocal row
+            for a, b in self.pairs[t]:
+                va = inp[a] if a < p else vals[a - p]
+                vb = inp[b] if b < p else vals[b - p]
+                out = (self._digits[t] >> (2 * va + vb)) & 1
+                if t == last:
+                    self.masks[row] &= out == target
+                    row += 1
+                else:
+                    walk(t + 1, vals + [out])
+        walk(0, [])
 
     def structure_of(self, model: dict):
         choice = []
@@ -305,148 +326,50 @@ class CircuitEncoding:
     def decode(self, model: dict) -> Circuit:
         return self.decode_structure(*self.structure_of(model))
 
-    def enumerate_consistent(self):
-        """All consistent structures, in deterministic lexicographic order."""
-        for choice in itertools.product(
-                *[range(len(p)) for p in self.pairs]):
-            for tables in itertools.product(range(16), repeat=self.s):
-                if self._degenerate_bad(tables):
-                    continue
-                if self.consistent(choice, tables):
-                    yield choice, tables
-
-    def _degenerate_bad(self, tables):
-        for t in range(self.s):
-            if len(self.pairs[t]) == 1 and \
-                    self.pairs[t][0][0] == self.pairs[t][0][1]:
-                if (tables[t] >> 1) & 1 or (tables[t] >> 2) & 1:
-                    return True
-        return False
-
 
 def encode_bounded_circuits(n: int, i: int, s: int,
                             counterexamples) -> CircuitEncoding:
-    """SAT encoding of size-s circuits for bit i consistent with the cases."""
+    """Encoding of size-s circuits for bit i consistent with the cases,
+    each a (xbits, ybits) pair with full y."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    return CircuitEncoding(n, i, s, counterexamples)
+    enc = CircuitEncoding(n, i, s)
+    for x, y in counterexamples:
+        enc.add_case(x, y)
+    return enc
 
 
-VECTOR_LIMIT = 1 << 24      # max skeletons x table-combos for exact work
-
-
-def _table_digits(encoding: CircuitEncoding):
-    """(combo array, per-gate table digits, base mask) for numpy sweeps."""
-    s = encoding.s
-    combos = np.arange(16 ** s, dtype=np.int64)
-    tt_digits = [(combos >> (4 * t)) & 15 for t in range(s)]
-    base_ok = np.ones(len(combos), dtype=bool)
-    for t in range(s):
-        if len(encoding.pairs[t]) == 1 and \
-                encoding.pairs[t][0][0] == encoding.pairs[t][0][1]:
-            base_ok &= ((tt_digits[t] >> 1) & 1) == 0
-            base_ok &= ((tt_digits[t] >> 2) & 1) == 0
-    return combos, tt_digits, base_ok
-
-
-def _skeleton_mask(encoding: CircuitEncoding, choice, tt_digits, base_ok):
-    """Boolean mask over table combos consistent for one skeleton."""
-    s, p = encoding.s, encoding.p
-    ok = base_ok.copy()
-    for inp, tgt in encoding.cases:
-        vals = []
-        for t in range(s):
-            a, b = encoding.pairs[t][choice[t]]
-            va = inp[a] if a < p else vals[a - p]
-            vb = inp[b] if b < p else vals[b - p]
-            idx = 2 * va + vb
-            if isinstance(idx, np.ndarray):
-                vals.append((tt_digits[t] >> idx) & 1)
-            else:
-                vals.append((tt_digits[t] >> int(idx)) & 1)
-        out = vals[-1]
-        if isinstance(out, np.ndarray):
-            ok &= out == tgt
-        elif out != tgt:
-            ok[:] = False
-    return ok
-
-
-def _skeletons(encoding: CircuitEncoding):
-    return itertools.product(*[range(len(pp)) for pp in encoding.pairs])
-
-
-def _vector_work(encoding: CircuitEncoding) -> int:
-    skeletons = 1
-    for pp in encoding.pairs:
-        skeletons *= len(pp)
-    return skeletons * 16 ** encoding.s
-
-
-def count_consistent(encoding: CircuitEncoding,
-                     limit: int = VECTOR_LIMIT) -> int:
-    """Exact number of consistent structures, by vectorized enumeration.
-
-    Iterates over gate-operand skeletons and evaluates all truth-table
-    combinations at once with numpy.  Refuses spaces above `limit`.
-    """
-    if _vector_work(encoding) > limit:
-        raise ValueError(f"space {encoding.space_size} exceeds limit {limit}")
-    _, tt_digits, base_ok = _table_digits(encoding)
-    total = 0
-    for choice in _skeletons(encoding):
-        total += int(_skeleton_mask(encoding, choice, tt_digits,
-                                    base_ok).sum())
-    return total
-
-
-class CandidatePool:
-    """d*s circuits consistent with every stored counterexample."""
-
-    def __init__(self, circuits):
-        self.circuits = list(circuits)
-
-    def __len__(self):
-        return len(self.circuits)
+def count_consistent(encoding: CircuitEncoding) -> int:
+    """Exact number of consistent structures, read off the masks."""
+    if encoding.masks is None:
+        raise ValueError(f"space {encoding.space_size} exceeds the exact "
+                         f"limit {VECTOR_LIMIT}")
+    return int(encoding.masks.sum())
 
 
 def sample_candidate_pool(encoding: CircuitEncoding, count: int,
-                          oracle: Oracle = None, seed=0) -> CandidatePool:
-    """Near-uniform consistent circuits: exact draw on small spaces,
-    XOR-hash cells otherwise."""
+                          oracle: Oracle = None, seed=0) -> list:
+    """`count` near-uniform consistent circuits: an exact draw from the
+    masks when the encoding has them, XOR-hash cells otherwise."""
     oracle = oracle or Oracle()
     circuits = []
-    if encoding.space_size <= EXACT_SPACE:
-        structures = list(encoding.enumerate_consistent())
-        if not structures:
-            raise InconsistentEncodingError(
-                "no circuit of this size fits the counterexamples")
-        rng = labeled_rng(seed, "pool/exact")
-        for _ in range(count):
-            circuits.append(
-                encoding.decode_structure(*rng.choice(structures)))
-        return CandidatePool(circuits)
-    if _vector_work(encoding) <= VECTOR_LIMIT:
+    if encoding.masks is not None:
         # exactly uniform: pick a skeleton weighted by its consistent
         # table count, then a uniform consistent table combo inside it
-        combos, tt_digits, base_ok = _table_digits(encoding)
-        skels = list(_skeletons(encoding))
-        per_skel = [np.flatnonzero(
-            _skeleton_mask(encoding, ch, tt_digits, base_ok))
-            for ch in skels]
-        weights = [len(ix) for ix in per_skel]
-        total = sum(weights)
-        if total == 0:
+        weights = encoding.masks.sum(axis=1).tolist()
+        if sum(weights) == 0:
             raise InconsistentEncodingError(
                 "no circuit of this size fits the counterexamples")
         rng = labeled_rng(seed, "pool/vector")
         for _ in range(count):
-            j = rng.choices(range(len(skels)), weights=weights)[0]
-            combo = int(per_skel[j][rng.randrange(weights[j])])
+            j = rng.choices(range(len(weights)), weights=weights)[0]
+            combo = int(np.flatnonzero(encoding.masks[j])[
+                rng.randrange(weights[j])])
             tables = tuple((combo >> (4 * t)) & 15
                            for t in range(encoding.s))
-            circuits.append(encoding.decode_structure(skels[j], tables))
-        return CandidatePool(circuits)
+            circuits.append(encoding.decode_structure(
+                encoding.skeletons[j], tables))
+        return circuits
     est = approx_count_projected(encoding.cnf, encoding.structure_vars,
                                  epsilon_trials=3, seed=seed, oracle=oracle,
                                  level_hint=max(
@@ -456,31 +379,23 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
             "no circuit of this size fits the counterexamples")
     hb = max(0, est.estimate.bit_length() - 4)
     for j in range(count):
-        model = None
-        for r in range(SAMPLE_RETRIES + 1):
-            res = sample_projected(encoding.cnf, encoding.structure_vars,
-                                   max(0, hb - r), seed, oracle,
-                                   label=f"pool/{j}/{r}")
-            if res.is_sat:
-                model = res.model
-                break
+        model = sample_with_retries(encoding.cnf, encoding.structure_vars,
+                                    hb, seed, oracle, label=f"pool/{j}")
         if model is None:
-            res = oracle.solve(encoding.cnf)
-            if not res.is_sat:
-                raise InconsistentEncodingError(
-                    "no circuit of this size fits the counterexamples")
-            model = res.model
+            raise InconsistentEncodingError(
+                "no circuit of this size fits the counterexamples")
         circuits.append(encoding.decode(model))
-    return CandidatePool(circuits)
+    return circuits
 
 
-def majority_hypothesis(pool: CandidatePool) -> Circuit:
-    """Pointwise majority of the pool, as a unary threshold network.
+def majority_hypothesis(pool: list) -> Circuit:
+    """Pointwise majority of the pool's circuits, as a unary threshold
+    network.
 
     Even pools are padded by repeating the first circuit so ties cannot
     occur.
     """
-    circuits = list(pool.circuits)
+    circuits = list(pool)
     if not circuits:
         raise ValueError("empty pool")
     if len(circuits) % 2 == 0:
@@ -550,10 +465,9 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
         if state_log is not None:
             state_log.append(state)
         budget = math.ceil(64 * s * math.log2(s + 2))
+        enc = encode_bounded_circuits(spec.n, i, s, [])
         try:
             for state.round in range(budget):
-                enc = encode_bounded_circuits(spec.n, i, s,
-                                              state.counterexamples)
                 pool = sample_candidate_pool(
                     enc, d * s, oracle,
                     seed=f"{seed}/bit{i}/s{s}/r{state.round}")
@@ -562,6 +476,7 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
                 if ce is None:
                     return h
                 state.counterexamples.append(ce)
+                enc.add_case(*ce)
         except InconsistentEncodingError:
             pass  # size bound too small for any consistent circuit
         s *= 2
@@ -592,7 +507,7 @@ def synth_auto(spec: Specification, oracle: Oracle = None,
     """
     cfg = cfg or {}
     oracle = oracle or Oracle()
-    lex_limit = cfg.get("lex_limit", 6)
+    lex_limit = cfg.get("lex_limit", LEX_LIMIT)
     seed = cfg.get("seed", 0)
     if spec.m <= lex_limit:
         return synth_lex(spec)

@@ -7,7 +7,7 @@ from skolemkit.benchgen import (BphpParams, TrapParams,
                                 gen_bphp, gen_factor, gen_planted_cover,
                                 gen_trap, simulate_sequential)
 from skolemkit.formula import parse_spec, write_qdimacs
-from skolemkit.oracle import solve
+from skolemkit.oracle import Oracle
 from skolemkit.verify import verify_skolem
 
 
@@ -66,9 +66,9 @@ def test_bphp_lexfirst_smallest_collided_hole():
 
 def test_bphp_pair_unsat_iff_overloaded():
     overloaded = bphp_interpolation_pair(BphpParams(3, 1))
-    assert not solve(overloaded.combined()).is_sat
+    assert not Oracle().solve(overloaded.combined()).is_sat
     roomy = bphp_interpolation_pair(BphpParams(3, 3, regime="paper"))
-    assert solve(roomy.combined()).is_sat
+    assert Oracle().solve(roomy.combined()).is_sat
 
 
 def test_bphp_pair_width_and_partition():

@@ -14,7 +14,7 @@ from skolemkit.interplab import (InterpolationInapplicableError,
                                  extract_interpolant, interp_size_experiment,
                                  relabel_axioms, resolve_clauses,
                                  slivovsky_synth, solve_with_proof)
-from skolemkit.oracle import solve
+from skolemkit.oracle import Oracle
 
 
 def brute_sat(cnf, fixed=None):
@@ -183,10 +183,10 @@ def test_interpolant_contract_random():
 
 def test_bphp_pair_unsat_iff_overloaded():
     inst = bphp_interpolation_pair(BphpParams(3, 1))  # 3 pigeons, 2 holes
-    assert solve(inst.combined()).status == "unsat"
+    assert Oracle().solve(inst.combined()).status == "unsat"
     # paper regime (3, 3): 3 pigeons into 8 holes, no forced collision
     ok = bphp_interpolation_pair(BphpParams(3, 3, regime="paper"))
-    assert solve(ok.combined()).status == "sat"
+    assert Oracle().solve(ok.combined()).status == "sat"
 
 
 def test_bphp_interpolant_contract():

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 from skolemkit.cnf import Cnf
-from skolemkit.oracle import (CountEstimate, ExternalSolverError, Oracle,
-                              XorConstraint, approx_count_projected,
-                              labeled_rng, sample_projected, solve,
+from skolemkit.oracle import (SAMPLE_RETRIES, CountEstimate,
+                              ExternalSolverError, Oracle, XorConstraint,
+                              approx_count_projected, labeled_rng,
+                              sample_projected, sample_with_retries,
                               solve_external)
 from skolemkit.solver import ResourceLimitError
 
@@ -38,10 +39,10 @@ def test_solve_trivial():
     c = Cnf(1)
     c.add([1])
     c.add([-1])
-    assert not solve(c).is_sat
+    assert not Oracle().solve(c).is_sat
     c2 = Cnf(2)
     c2.add([1, 2])
-    res = solve(c2, assumptions={1: 0})
+    res = Oracle().solve(c2, assumptions={1: 0})
     assert res.is_sat and res.model[2] == 1
 
 
@@ -49,7 +50,7 @@ def test_solve_agrees_with_enumeration():
     rng = random.Random(13)
     for _ in range(100):
         cnf = random_cnf(rng, rng.randint(2, 8))
-        got = solve(cnf).is_sat
+        got = Oracle().solve(cnf).is_sat
         assert got == (brute_count(cnf, range(1, cnf.nvars + 1)) > 0)
 
 
@@ -115,7 +116,7 @@ def test_external_agrees_with_internal(mini_solver):
     for _ in range(25):
         cnf = random_cnf(rng, rng.randint(2, 6))
         res = solve_external(cnf, {"command": mini_solver, "timeout": 30})
-        assert res.is_sat == solve(cnf).is_sat
+        assert res.is_sat == Oracle().solve(cnf).is_sat
 
 
 def test_external_file_placeholder(tmp_path, mini_solver):
@@ -231,6 +232,20 @@ def test_sample_hashbits_zero_is_plain_solve():
     cnf.add([1])
     res = sample_projected(cnf, [1, 2], 0, seed=5)
     assert res.is_sat and res.model[1] == 1
+
+
+def test_sample_with_retries_drops_bits_then_solves():
+    sat = Cnf(2)
+    sat.add([1])
+    model = sample_with_retries(sat, [1, 2], 2, 0, Oracle(), label="t")
+    assert model[1] == 1
+    unsat = Cnf(2)
+    unsat.add([1])
+    unsat.add([-1])
+    o = Oracle()
+    assert sample_with_retries(unsat, [1, 2], 2, 0, o, label="t") is None
+    # every retry is one sample, then one plain solve decides
+    assert o.calls == SAMPLE_RETRIES + 2
 
 
 def test_sample_models_satisfy_query():

@@ -8,9 +8,9 @@ from skolemkit.benchgen import gen_factor, gen_planted_cover
 from skolemkit.circuits import Builder, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle
-from skolemkit.synth import (CandidatePool, CoverSet,
-                             InconsistentEncodingError, build_cover_circuit,
-                             count_consistent, encode_bounded_circuits,
+from skolemkit.synth import (CoverSet, InconsistentEncodingError,
+                             build_cover_circuit, count_consistent,
+                             encode_bounded_circuits,
                              majority_hypothesis, sample_candidate_pool,
                              synth_auto, synth_cover, synth_lex,
                              synth_unique_bit)
@@ -141,6 +141,33 @@ def test_build_cover_circuit_lex_in_sprime():
 # ---------------------------------------------------------------------------
 # bounded-circuit encoding
 
+def brute_force_structures(enc):
+    """All consistent structures of enc in lexicographic order, found by
+    evaluating every skeleton and table combination gate by gate.  The
+    reference that the masks and the CNF are checked against."""
+    def output(choice, tables, inp):
+        vals = []
+        for t in range(enc.s):
+            a, b = enc.pairs[t][choice[t]]
+            va = inp[a] if a < enc.p else vals[a - enc.p]
+            vb = inp[b] if b < enc.p else vals[b - enc.p]
+            vals.append((tables[t] >> (2 * va + vb)) & 1)
+        return vals[-1]
+
+    def degenerate_bad(tables):
+        # a one-operand gate has no mixed truth-table entries
+        return any(enc.pairs[t] == [(0, 0)] and tables[t] & 0b0110
+                   for t in range(enc.s))
+
+    for choice in itertools.product(*[range(len(p)) for p in enc.pairs]):
+        for tables in itertools.product(range(16), repeat=enc.s):
+            if degenerate_bad(tables):
+                continue
+            if all(output(choice, tables, inp) == tgt
+                   for inp, tgt in enc.cases):
+                yield choice, tables
+
+
 def sat_structures(enc):
     o = Oracle()
     out = set()
@@ -152,7 +179,7 @@ def sat_structures(enc):
 
 def test_encoding_single_gate_case():
     enc = encode_bounded_circuits(2, 1, 1, [((1, 1), (1,))])
-    structs = set(enc.enumerate_consistent())
+    structs = set(brute_force_structures(enc))
     assert structs == sat_structures(enc)
     funcs = set()
     for choice, tables in structs:
@@ -185,16 +212,44 @@ def test_encoding_count_matches_enumeration():
             x = tuple(rng.getrandbits(1) for _ in range(n))
             ces.append((x, (rng.getrandbits(1),)))
         enc = encode_bounded_circuits(n, 1, s, ces)
-        want = len(list(enc.enumerate_consistent()))
+        want = len(list(brute_force_structures(enc)))
         assert count_consistent(enc) == want
         if want:
-            assert sat_structures(enc) == set(enc.enumerate_consistent())
+            assert sat_structures(enc) == set(brute_force_structures(enc))
+
+
+def test_add_case_narrows_like_rebuild():
+    rng = random.Random(83)
+    for trial in range(10):
+        n = rng.randint(1, 3)
+        s = rng.randint(1, 2)
+        ces = [(tuple(rng.getrandbits(1) for _ in range(n)),
+                (rng.getrandbits(1),)) for _ in range(rng.randint(1, 4))]
+        enc = encode_bounded_circuits(n, 1, s, [])
+        for r in range(1, len(ces) + 1):
+            enc.add_case(*ces[r - 1])
+            fresh = encode_bounded_circuits(n, 1, s, ces[:r])
+            want = len(list(brute_force_structures(fresh)))
+            assert count_consistent(enc) == count_consistent(fresh) == want
+            assert enc.cnf.clauses == fresh.cnf.clauses
+            pools = []
+            for e in (enc, fresh):
+                try:
+                    pool = sample_candidate_pool(e, 5, Oracle(),
+                                                 seed=f"{trial}/{r}")
+                except InconsistentEncodingError:
+                    pool = None
+                else:
+                    pool = [(c.gates, c.outputs) for c in pool]
+                pools.append(pool)
+            assert pools[0] == pools[1]
+            assert (pools[0] is None) == (want == 0)
 
 
 def test_encoding_degenerate_single_input():
     # one input, one gate: exactly const0, const1, id, not
     enc = encode_bounded_circuits(1, 1, 1, [])
-    structs = list(enc.enumerate_consistent())
+    structs = list(brute_force_structures(enc))
     assert len(structs) == 4
     masks = set()
     for choice, tables in structs:
@@ -208,10 +263,10 @@ def test_encoding_degenerate_single_input():
 
 def test_pool_uniform_small_space():
     enc = encode_bounded_circuits(2, 1, 1, [])
-    structures = list(enc.enumerate_consistent())
+    structures = list(brute_force_structures(enc))
     pool = sample_candidate_pool(enc, 2000, Oracle(), seed=8)
     freq = {}
-    for c in pool.circuits:
+    for c in pool:
         key = c.eval_masks(input_masks([("x", 1), ("x", 2)]), width=4)[0]
         freq[key] = freq.get(key, 0) + 1
     # compare function-level frequencies against the enumeration baseline
@@ -229,10 +284,9 @@ def test_pool_uniform_small_space():
 def test_pool_vector_tier_consistent():
     ces = [((1, 0, 1, 1), (1,)), ((0, 0, 1, 0), (0,))]
     enc = encode_bounded_circuits(4, 1, 3, ces)
-    assert enc.space_size > synth_mod.EXACT_SPACE
     pool = sample_candidate_pool(enc, 24, Oracle(), seed=3)
     assert len(pool) == 24
-    for c in pool.circuits:
+    for c in pool:
         for (x, y) in ces:
             a = {("x", j + 1): x[j] for j in range(4)}
             assert c.eval(a)[0] == y[0]
@@ -240,13 +294,12 @@ def test_pool_vector_tier_consistent():
 
 def test_pool_xor_tier_consistent(monkeypatch):
     # force the hash-sampling path on a small encoding
-    monkeypatch.setattr(synth_mod, "EXACT_SPACE", 1)
     monkeypatch.setattr(synth_mod, "VECTOR_LIMIT", 1)
     ces = [((1, 1), (1,))]
     enc = encode_bounded_circuits(2, 1, 1, ces)
     pool = sample_candidate_pool(enc, 3, Oracle(), seed=2)
     assert len(pool) == 3
-    for c in pool.circuits:
+    for c in pool:
         assert c.eval({("x", 1): 1, ("x", 2): 1})[0] == 1
 
 
@@ -255,7 +308,7 @@ def test_majority_trivial_and_mixed():
     x = b.extract([b.inp(("x", 1))])
     b2 = Builder()
     nx = b2.extract([b2.not_(b2.inp(("x", 1)))])
-    maj = majority_hypothesis(CandidatePool([x, nx, x]))
+    maj = majority_hypothesis([x, nx, x])
     assert maj.eval({("x", 1): 0})[0] == 0
     assert maj.eval({("x", 1): 1})[0] == 1
 
@@ -275,7 +328,7 @@ def test_majority_matches_counted_votes():
                     pool.append(getattr(b, op)(rng.choice(pool),
                                                rng.choice(pool)))
             circuits.append(b.extract([pool[-1]]))
-        maj = majority_hypothesis(CandidatePool(circuits))
+        maj = majority_hypothesis(circuits)
         for bits in itertools.product((0, 1), repeat=3):
             a = {("x", j + 1): bits[j] for j in range(3)}
             votes = sum(c.eval(a)[0] for c in circuits)
@@ -327,6 +380,17 @@ def test_auto_lex_path():
     rng = random.Random(61)
     spec = random_spec(rng, 3, 3)
     vec = synth_auto(spec, Oracle(), {"lex_limit": 6})
+    assert verify_skolem(spec, vec).is_valid
+
+
+def test_auto_default_lex_limit_makes_no_oracle_calls():
+    # 7 <= m <= LEX_LIMIT: the library default takes lex, as the CLI does
+    b = Builder()
+    spec = Specification([1], list(range(2, 9)),
+                         b.extract([b.xnor_(b.inp(1), b.inp(2))]))
+    oracle = Oracle()
+    vec = synth_auto(spec, oracle)
+    assert oracle.calls == 0
     assert verify_skolem(spec, vec).is_valid
 
 

@@ -6,7 +6,7 @@ import pytest
 from skolemkit.benchgen import BphpParams, gen_bphp, gen_factor
 from skolemkit.circuits import Builder, SkolemVector, constant_vector
 from skolemkit.formula import Specification
-from skolemkit.oracle import solve
+from skolemkit.oracle import Oracle
 from skolemkit.verify import (build_error_formula, check_unique,
                               verify_skolem)
 
@@ -76,13 +76,13 @@ def make_vec(fn):
 def test_error_formula_correct_candidate_unsat():
     spec = xy_identity_spec()
     vec = make_vec(lambda b: b.inp(("x", 1)))
-    assert not solve(build_error_formula(spec, vec)).is_sat
+    assert not Oracle().solve(build_error_formula(spec, vec)).is_sat
 
 
 def test_error_formula_wrong_candidate_sat():
     spec = xy_identity_spec()
     vec = make_vec(lambda b: b.not_(b.inp(("x", 1))))
-    res = solve(build_error_formula(spec, vec))
+    res = Oracle().solve(build_error_formula(spec, vec))
     assert res.is_sat
     # witness has y1 = x1 (a good y) while the candidate outputs ~x1
     assert res.model[2] == res.model[1]
