@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import benchgen, interplab, synth
@@ -40,11 +41,13 @@ class UsageError(Exception):
 
 
 def _make_oracle(args) -> Oracle:
-    backend = getattr(args, "solver", "internal")
-    if backend != "internal" and not backend.startswith("exec:"):
-        raise UsageError(f"--solver must be internal or exec:PATH, "
-                         f"got {backend!r}")
-    return Oracle(backend, timeout=getattr(args, "timeout", None))
+    """The run's oracle; without --solver, a set SKOLEMKIT_SOLVER means
+    exec:$SKOLEMKIT_SOLVER.  Oracle rejects an unknown backend."""
+    backend = args.solver
+    if backend is None:
+        env = os.environ.get("SKOLEMKIT_SOLVER")
+        backend = f"exec:{env}" if env else "internal"
+    return Oracle(backend, timeout=args.timeout)
 
 
 def _load_spec(path: str):
@@ -257,8 +260,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", default=None, metavar="PATH",
                         help="write the JSON run report ('-' for stdout)")
         if solver:
-            sp.add_argument("--solver", default="internal",
-                            help="internal or exec:COMMAND")
+            sp.add_argument("--solver", default=None,
+                            help="internal or exec:COMMAND (default: exec:"
+                                 "$SKOLEMKIT_SOLVER if set, else internal)")
             sp.add_argument("--timeout", type=float, default=None,
                             help="per-query timeout for external solvers")
 

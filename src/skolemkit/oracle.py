@@ -20,7 +20,7 @@ import tempfile
 import time
 
 from .cnf import Cnf, add_xor_constraint
-from .solver import Solver, ResourceLimitError, enumerate_models
+from .solver import Solver, ResourceLimitError
 
 
 class ExternalSolverError(Exception):
@@ -48,50 +48,47 @@ class OracleResult:
         return f"OracleResult({self.status})"
 
 
-class XorConstraint:
-    """A random parity constraint over a projection set."""
-
-    def __init__(self, vars, parity: int):
-        self.vars = list(vars)
-        self.parity = parity
-
-    @classmethod
-    def draw(cls, rng: random.Random, proj) -> "XorConstraint":
-        """Each variable included independently w.p. 1/2; uniform parity."""
-        return cls([v for v in proj if rng.getrandbits(1)], rng.getrandbits(1))
-
-    def add_to(self, cnf: Cnf):
-        return add_xor_constraint(cnf, self.vars, self.parity)
-
-    def holds(self, model: dict) -> bool:
-        return sum(model[v] for v in self.vars) % 2 == self.parity
-
-
 class CountEstimate:
     """A hash-based projected model-count estimate."""
 
-    def __init__(self, estimate: int, hash_bits: int, trials: int, seed):
+    def __init__(self, estimate: int, hash_bits: int, trials: int):
         self.estimate = estimate
         self.hash_bits = hash_bits
         self.trials = trials
-        self.seed = seed
 
     def __repr__(self):
         return (f"CountEstimate({self.estimate}, hash_bits={self.hash_bits}, "
                 f"trials={self.trials})")
 
 
+class _ExecQuery(Cnf):
+    """An open exec: query: a CNF copy extended by add_clause, like a
+    Solver, and never known unsat before a solve."""
+
+    unsat = False
+
+    def add_clause(self, lits):
+        self.add(lits)
+
+
 class Oracle:
-    """A SAT oracle session.
+    """A SAT oracle session: the one place a query is opened, solved and
+    counted.
 
     backend is "internal" or "exec:<command>"; the command receives
     DIMACS on standard input unless it contains a "{file}" placeholder,
     in which case a temporary file path is substituted.  Sessions are
-    independent: answers depend only on the query and the engine.
+    independent: answers depend only on the query and the engine.  Every
+    solve, including each step of an enumeration, adds one to calls: a
+    Solver.solve run on "internal", a solver process on "exec:".
     """
 
     def __init__(self, backend: str = "internal", max_conflicts: int = None,
                  timeout: float = None):
+        if not (backend == "internal"
+                or backend.startswith("exec:") and backend[5:].strip()):
+            raise ValueError(f"solver backend must be internal or "
+                             f"exec:COMMAND, got {backend!r}")
         self.backend = backend
         self.max_conflicts = max_conflicts
         self.timeout = timeout
@@ -105,83 +102,61 @@ class Oracle:
                 "maxQueryVars": self.max_query_vars,
                 "maxQueryClauses": self.max_query_clauses}
 
-    def _record(self, cnf: Cnf, t0: float):
-        self.calls += 1
-        self.wall_time += time.monotonic() - t0
-        self.max_query_vars = max(self.max_query_vars, cnf.nvars)
-        self.max_query_clauses = max(self.max_query_clauses, len(cnf.clauses))
+    def _open(self, cnf: Cnf):
+        """A query on cnf that later solves may extend by clauses: an
+        incremental Solver on "internal", a copy of cnf on "exec:"."""
+        if self.backend == "internal":
+            return Solver(cnf)
+        return _ExecQuery(cnf.nvars, cnf.clauses)
 
-    def solve(self, cnf: Cnf, assumptions: dict = None) -> OracleResult:
-        """Decide cnf under a partial assignment of variables to bits."""
+    def _solve(self, query, cnf: Cnf) -> OracleResult:
+        """One counted solve of an open query on cnf.  The query size
+        recorded is cnf's, without the blocking clauses added since."""
         t0 = time.monotonic()
         try:
-            if self.backend == "internal":
-                s = Solver(cnf)
-                if s.solve(_assumption_lits(assumptions),
-                           max_conflicts=self.max_conflicts):
-                    res = OracleResult("sat", s.model())
-                else:
-                    res = OracleResult("unsat")
-            elif self.backend.startswith("exec:"):
-                res = solve_external(cnf, {"command": self.backend[5:],
-                                           "timeout": self.timeout},
-                                     assumptions)
-            else:
-                raise ValueError(f"unknown backend {self.backend!r}")
+            if isinstance(query, _ExecQuery):
+                return solve_external(query, self.backend[5:], self.timeout)
+            if query.solve(max_conflicts=self.max_conflicts):
+                return OracleResult("sat", query.model())
+            return OracleResult("unsat")
         finally:
-            self._record(cnf, t0)
-        return res
+            self.calls += 1
+            self.wall_time += time.monotonic() - t0
+            self.max_query_vars = max(self.max_query_vars, cnf.nvars)
+            self.max_query_clauses = max(self.max_query_clauses,
+                                         len(cnf.clauses))
+
+    def solve(self, cnf: Cnf) -> OracleResult:
+        """Decide cnf with one solve."""
+        return self._solve(self._open(cnf), cnf)
 
     def enumerate(self, cnf: Cnf, proj, limit: int = None):
-        """Distinct models projected to proj (order deterministic)."""
-        if self.backend == "internal":
-            t0 = time.monotonic()
-            try:
-                yield from enumerate_models(cnf, proj, limit)
-            finally:
-                self._record(cnf, t0)
-            return
-        work = cnf.copy()
+        """Distinct models projected to proj (order deterministic).
+
+        One solve per model, on one query that blocks each model found.
+        The enumeration ends without a solve once the query is known
+        unsat, as a blocking clause can show on "internal".
+        """
         proj = list(proj)
+        query = self._open(cnf)
         count = 0
-        while limit is None or count < limit:
-            res = self.solve(work, None)
+        while count != limit and not query.unsat:
+            res = self._solve(query, cnf)
             if not res.is_sat:
                 return
             bits = tuple(res.model[v] for v in proj)
             yield bits
             count += 1
-            work.add([(-v if b else v) for v, b in zip(proj, bits)])
+            query.add_clause([(-v if b else v) for v, b in zip(proj, bits)])
 
 
-def _assumption_lits(assumptions) -> list:
-    if not assumptions:
-        return []
-    if isinstance(assumptions, dict):
-        return [v if b else -v for v, b in assumptions.items()]
-    return list(assumptions)
-
-
-def solve_external(cnf: Cnf, adapter_config: dict,
-                   assumptions: dict = None) -> OracleResult:
+def solve_external(cnf: Cnf, command: str, timeout: float = None
+                   ) -> OracleResult:
     """Run an external DIMACS solver and parse SAT-competition output.
 
-    adapter_config: {"command": str, "timeout": seconds or None}.  The
-    command may come from the SKOLEMKIT_SOLVER environment variable when
-    absent.  Assumptions are appended as unit clauses.
+    A model is checked against every clause of cnf; timeout is in seconds.
     """
-    command = adapter_config.get("command") or os.environ.get(
-        "SKOLEMKIT_SOLVER")
-    if not command:
-        raise ExternalSolverError("no external solver command configured")
-    timeout = adapter_config.get("timeout")
-    work = cnf
-    lits = _assumption_lits(assumptions)
-    if lits:
-        work = cnf.copy()
-        for lit in lits:
-            work.add([lit])
-    dimacs = work.to_dimacs()
+    dimacs = cnf.to_dimacs()
     argv = shlex.split(command)
     tmp = None
     try:
@@ -227,9 +202,9 @@ def solve_external(cnf: Cnf, adapter_config: dict,
         raise ExternalSolverError("no status line in solver output")
     if status == "unsat":
         return OracleResult("unsat")
-    for v in range(1, work.nvars + 1):
+    for v in range(1, cnf.nvars + 1):
         model.setdefault(v, 0)
-    for clause in work.clauses:
+    for clause in cnf.clauses:
         if not any(model[abs(l)] == (1 if l > 0 else 0) for l in clause):
             raise ExternalSolverError(
                 "external model does not satisfy the query")
@@ -243,15 +218,21 @@ PIVOT = 40
 SAMPLE_RETRIES = 8          # empty-cell retries, one fewer hash bit each
 
 
+def _hashed(cnf: Cnf, proj, bits: int, rng) -> Cnf:
+    """A copy of cnf cut to a random cell by `bits` XOR constraints over
+    proj.  Each constraint draws one bit per projected variable (is it
+    included?) and then its parity."""
+    work = cnf.copy()
+    for _ in range(bits):
+        add_xor_constraint(work, [v for v in proj if rng.getrandbits(1)],
+                           rng.getrandbits(1))
+    return work
+
+
 def _survivors(cnf: Cnf, proj, level: int, rng, oracle: Oracle, cap: int):
     """Projected models surviving `level` fresh XOR constraints, up to cap."""
-    work = cnf.copy()
-    for _ in range(level):
-        XorConstraint.draw(rng, proj).add_to(work)
-    n = 0
-    for _ in oracle.enumerate(work, proj, limit=cap):
-        n += 1
-    return n
+    return sum(1 for _ in oracle.enumerate(_hashed(cnf, proj, level, rng),
+                                           proj, limit=cap))
 
 
 def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
@@ -269,7 +250,7 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     cap = 2 * PIVOT + 1
     base = _survivors(cnf, proj, 0, None, oracle, PIVOT + 1)
     if base <= PIVOT:
-        return CountEstimate(base, 0, 1, seed)
+        return CountEstimate(base, 0, 1)
     # saturation level: smallest level whose cell holds <= pivot survivors
     probe = labeled_rng(seed, "count/probe")
 
@@ -294,8 +275,7 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
             s = _survivors(cnf, proj, level - 1, rng2, oracle, cap) / 2
         ests.append(s * (1 << level))
     ests.sort()
-    return CountEstimate(int(ests[len(ests) // 2]), level,
-                         epsilon_trials, seed)
+    return CountEstimate(int(ests[len(ests) // 2]), level, epsilon_trials)
 
 
 def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
@@ -309,12 +289,8 @@ def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
     if hash_bits < 0:
         raise ValueError("hash_bits must be nonnegative")
     oracle = oracle or Oracle()
-    rng = labeled_rng(seed, label)
-    work = cnf.copy()
-    constraints = [XorConstraint.draw(rng, proj) for _ in range(hash_bits)]
-    for c in constraints:
-        c.add_to(work)
-    res = oracle.solve(work)
+    res = oracle.solve(_hashed(cnf, proj, hash_bits,
+                               labeled_rng(seed, label)))
     if res.is_sat:
         # report only original variables
         res = OracleResult("sat", {v: res.model[v]

@@ -367,21 +367,3 @@ class Solver:
                 m[v] = 1 if self.saved[v] else 0
         return m
 
-
-def enumerate_models(cnf: Cnf, proj, limit: int = None, solver: Solver = None):
-    """Distinct models projected to ``proj``, via incremental blocking.
-
-    Yields projected assignments as tuples of bits ordered like ``proj``.
-    Stops after ``limit`` models when given.
-    """
-    proj = list(proj)
-    s = solver or Solver(cnf)
-    count = 0
-    while not s.unsat and s.solve():
-        m = s.model()
-        bits = tuple(m[v] for v in proj)
-        yield bits
-        count += 1
-        if limit is not None and count >= limit:
-            return
-        s.add_clause([(-v if m[v] else v) for v in proj])

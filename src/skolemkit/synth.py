@@ -49,7 +49,7 @@ def _lex_terms(spec: Specification, tuples):
 
     For each y-tuple (in the given order) build
     term_j = F(X, y_j) & AND_{j' < j} ~F(X, y_j'), sharing the running
-    prefix product.  Returns (builder, x wires unused, term gate ids).
+    prefix product.  Returns (builder, term gate ids in tuple order).
     """
     b = Builder()
     xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}

@@ -37,11 +37,8 @@ def build_error_formula(spec: Specification, candidate: SkolemVector) -> Cnf:
     """
     if candidate.m != spec.m or candidate.n != spec.n:
         raise ValueError("candidate shape does not match spec")
-    cnf = Cnf(max(spec.x_vars + spec.y_vars, default=0))
+    cnf = spec.cnf.copy()   # F(X, Y) on the original variables
     xv = {("x", i + 1): v for i, v in enumerate(spec.x_vars)}
-
-    # F(X, Y) on the original variables
-    tseitin(spec.matrix, lambda v: v, cnf, assert_outputs=True)
 
     # primed outputs
     yprime = [cnf.fresh() for _ in range(spec.m)]
@@ -82,8 +79,8 @@ def check_unique(spec: Specification, i: int, z_vars,
                  oracle: Oracle = None) -> bool:
     """Is Y_i uniquely defined in terms of the variables Z?
 
-    Builds F(X,Y) & F(X^,Y^) & (Z = Z^) & (Y_i != Y^_i) over two fresh
-    copies of everything and reports unsatisfiability.
+    Builds F(X,Y) & F(X^,Y^) & (Z = Z^) & (Y_i != Y^_i), the hatted copy
+    on fresh variables, and reports unsatisfiability.
     """
     z_vars = list(z_vars)
     yi = spec.y_vars[i - 1]
@@ -92,8 +89,7 @@ def check_unique(spec: Specification, i: int, z_vars,
         if z not in allowed:
             raise ValueError(f"Z contains disallowed variable {z}")
     oracle = oracle or Oracle()
-    cnf = Cnf(max(spec.x_vars + spec.y_vars, default=0))
-    tseitin(spec.matrix, lambda v: v, cnf, assert_outputs=True)
+    cnf = spec.cnf.copy()
     hat = {v: cnf.fresh() for v in spec.x_vars + spec.y_vars}
     tseitin(spec.matrix, lambda v: hat[v], cnf, assert_outputs=True)
     for z in z_vars:

@@ -135,6 +135,29 @@ def test_check_unique_exit_codes(tmp_path, spec_file):
     assert read_json(str(rep))["unique"] is False
 
 
+def test_solver_env_selects_exec_backend(tmp_path, unsat_solver,
+                                         monkeypatch):
+    # bit 1 of FREE_Y is not unique; only the stub can call it unique
+    free = tmp_path / "free.qdimacs"
+    free.write_text(FREE_Y)
+    monkeypatch.setenv("SKOLEMKIT_SOLVER", unsat_solver)
+    assert main(["check-unique", str(free), "--bit", "1"]) == 0
+    assert main(["check-unique", str(free), "--bit", "1",
+                 "--solver", "internal"]) == 10
+
+
+def test_verify_exec_backend(tmp_path, spec_file, mini_solver):
+    vec = tmp_path / "vec.skolem"
+    assert main(["synth", spec_file, "--strategy", "lex",
+                 "-o", str(vec)]) == 0
+    rep = tmp_path / "rep.json"
+    assert main(["verify", spec_file, str(vec), "--solver",
+                 f"exec:{mini_solver}", "--json", str(rep)]) == 0
+    report = read_json(str(rep))
+    assert report["verdict"] == "valid"
+    assert report["oracle"]["calls"] == 1
+
+
 # ---------------------------------------------------------------------------
 # gen
 

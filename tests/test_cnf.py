@@ -3,7 +3,8 @@ import random
 
 from skolemkit.circuits import Builder
 from skolemkit.cnf import Cnf, add_xor_constraint, tseitin
-from skolemkit.solver import Solver, enumerate_models
+from skolemkit.oracle import Oracle
+from skolemkit.solver import Solver
 
 
 def brute_models(cnf, nvars=None):
@@ -127,5 +128,5 @@ def test_xor_preserves_projected_models():
 def test_enumerate_models_projected():
     cnf = Cnf(3)
     cnf.add([1, 2])
-    got = sorted(enumerate_models(cnf, [1, 2]))
+    got = sorted(Oracle().enumerate(cnf, [1, 2]))
     assert got == [(0, 1), (1, 0), (1, 1)]

@@ -1,19 +1,15 @@
 import collections
 import itertools
-import os
 import random
-import stat
-import sys
 
 import pytest
 
 from skolemkit.cnf import Cnf
-from skolemkit.oracle import (SAMPLE_RETRIES, CountEstimate,
-                              ExternalSolverError, Oracle, XorConstraint,
+from skolemkit.oracle import (SAMPLE_RETRIES, ExternalSolverError, Oracle,
                               approx_count_projected, labeled_rng,
                               sample_projected, sample_with_retries,
                               solve_external)
-from skolemkit.solver import ResourceLimitError
+from skolemkit.solver import ResourceLimitError, Solver
 
 
 def brute_count(cnf, proj):
@@ -40,10 +36,6 @@ def test_solve_trivial():
     c.add([1])
     c.add([-1])
     assert not Oracle().solve(c).is_sat
-    c2 = Cnf(2)
-    c2.add([1, 2])
-    res = Oracle().solve(c2, assumptions={1: 0})
-    assert res.is_sat and res.model[2] == 1
 
 
 def test_solve_agrees_with_enumeration():
@@ -69,53 +61,14 @@ def test_labeled_rng_reproducible():
     assert labeled_rng(7, "a").random() != labeled_rng(7, "b").random()
 
 
-def test_xor_constraint_holds():
-    rng = random.Random(1)
-    c = XorConstraint([1, 3], 1)
-    assert c.holds({1: 1, 2: 0, 3: 0})
-    assert not c.holds({1: 1, 2: 1, 3: 1})
-
-
 # ---------------------------------------------------------------------------
 # external adapter
-
-WRAPPER = """#!%(python)s
-import itertools, sys
-lines = sys.stdin.read().splitlines()
-nv = 0
-clauses = []
-for line in lines:
-    t = line.split()
-    if not t or t[0] in ("c",):
-        continue
-    if t[0] == "p":
-        nv = int(t[2]); continue
-    clauses.append([int(x) for x in t[:-1]])
-for bits in itertools.product((0, 1), repeat=nv):
-    m = dict(zip(range(1, nv + 1), bits))
-    if all(any(m[abs(l)] == (l > 0) for l in c) for c in clauses):
-        print("s SATISFIABLE")
-        print("v " + " ".join(str(v if m[v] else -v)
-                              for v in range(1, nv + 1)) + " 0")
-        sys.exit(10)
-print("s UNSATISFIABLE")
-sys.exit(20)
-"""
-
-
-@pytest.fixture
-def mini_solver(tmp_path):
-    path = tmp_path / "mini.py"
-    path.write_text(WRAPPER % {"python": sys.executable})
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
-
 
 def test_external_agrees_with_internal(mini_solver):
     rng = random.Random(17)
     for _ in range(25):
         cnf = random_cnf(rng, rng.randint(2, 6))
-        res = solve_external(cnf, {"command": mini_solver, "timeout": 30})
+        res = solve_external(cnf, mini_solver, 30)
         assert res.is_sat == Oracle().solve(cnf).is_sat
 
 
@@ -125,7 +78,7 @@ def test_external_file_placeholder(tmp_path, mini_solver):
     sh.chmod(0o755)
     cnf = Cnf(2)
     cnf.add([1, 2])
-    res = solve_external(cnf, {"command": f"{sh} {{file}}", "timeout": 30})
+    res = solve_external(cnf, f"{sh} {{file}}", 30)
     assert res.is_sat
 
 
@@ -136,7 +89,7 @@ def test_external_garbled_output(tmp_path):
     cnf = Cnf(1)
     cnf.add([1])
     with pytest.raises(ExternalSolverError):
-        solve_external(cnf, {"command": str(sh), "timeout": 30})
+        solve_external(cnf, str(sh), 30)
 
 
 def test_external_bogus_model_rejected(tmp_path):
@@ -147,7 +100,7 @@ def test_external_bogus_model_rejected(tmp_path):
     cnf = Cnf(1)
     cnf.add([1])
     with pytest.raises(ExternalSolverError):
-        solve_external(cnf, {"command": str(sh), "timeout": 30})
+        solve_external(cnf, str(sh), 30)
 
 
 def test_external_timeout(tmp_path):
@@ -157,14 +110,7 @@ def test_external_timeout(tmp_path):
     cnf = Cnf(1)
     cnf.add([1])
     with pytest.raises(ResourceLimitError):
-        solve_external(cnf, {"command": str(sh), "timeout": 0.2})
-
-
-def test_external_env_fallback(mini_solver, monkeypatch):
-    monkeypatch.setenv("SKOLEMKIT_SOLVER", mini_solver)
-    cnf = Cnf(1)
-    cnf.add([1])
-    assert solve_external(cnf, {}).is_sat
+        solve_external(cnf, str(sh), 0.2)
 
 
 def test_oracle_exec_backend(mini_solver):
@@ -176,6 +122,40 @@ def test_oracle_exec_backend(mini_solver):
     assert res.is_sat and res.model[2] == 1
     got = sorted(o.enumerate(cnf, [1, 2]))
     assert got == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# solve counting
+
+@pytest.fixture
+def solver_runs(monkeypatch):
+    """A list that grows by one on every Solver.solve run."""
+    runs = []
+    solve = Solver.solve
+
+    def counted(self, *args, **kwargs):
+        runs.append(None)
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(Solver, "solve", counted)
+    return runs
+
+
+def test_calls_equal_solver_runs(solver_runs):
+    rng = random.Random(29)
+    empty = Cnf(2)
+    empty.add([])
+    cnfs = [empty] + [random_cnf(rng, rng.randint(2, 8), factor=1.0)
+                      for _ in range(20)]
+    for seed, cnf in enumerate(cnfs):
+        proj = list(range(1, cnf.nvars + 1))
+        o = Oracle()
+        before = len(solver_runs)
+        o.solve(cnf)
+        list(o.enumerate(cnf, proj))
+        list(o.enumerate(cnf, proj[:3], limit=2))
+        approx_count_projected(cnf, proj, seed=seed, oracle=o)
+        sample_with_retries(cnf, proj, 3, seed, o, label="t")
+        assert o.calls == len(solver_runs) - before
 
 
 # ---------------------------------------------------------------------------

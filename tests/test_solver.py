@@ -4,8 +4,8 @@ import random
 import pytest
 
 from skolemkit.cnf import Cnf
-from skolemkit.solver import (ResourceLimitError, Solver, enumerate_models,
-                              luby)
+from skolemkit.oracle import Oracle
+from skolemkit.solver import ResourceLimitError, Solver, luby
 
 
 def brute_sat(cnf):
@@ -74,7 +74,7 @@ def test_enumerate_models_complete():
     for _ in range(40):
         cnf = random_cnf(rng, nv=rng.randint(2, 6), factor=2.0)
         proj = list(range(1, cnf.nvars + 1))
-        got = set(enumerate_models(cnf, proj))
+        got = set(Oracle().enumerate(cnf, proj))
         want = set()
         for bits in itertools.product((0, 1), repeat=cnf.nvars):
             model = dict(zip(proj, bits))
@@ -86,7 +86,7 @@ def test_enumerate_models_complete():
 
 def test_enumerate_models_limit():
     cnf = Cnf(4)
-    got = list(enumerate_models(cnf, [1, 2, 3, 4], limit=5))
+    got = list(Oracle().enumerate(cnf, [1, 2, 3, 4], limit=5))
     assert len(got) == 5
 
 
