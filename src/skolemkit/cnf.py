@@ -114,31 +114,32 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
     return TseitinResult(cnf, out_lits, aux)
 
 
-def add_xor_constraint(cnf: Cnf, variables, parity: int) -> list[int]:
-    """Add clauses forcing ``xor(variables) == parity``.
+def xor_literal(cnf: Cnf, variables) -> int:
+    """A literal equal to ``xor(variables)``, which must be nonempty.
 
-    Uses a chain of fresh equivalence variables; at most 4*len(variables)
-    clauses.  Returns the fresh variables introduced.
+    One variable is its own literal; more end a chain of fresh
+    equivalence variables, 4 clauses per link, added to ``cnf``.
     """
     variables = list(variables)
-    if not variables:
-        if parity:
-            cnf.add([])  # unsatisfiable
-        return []
-    if len(variables) == 1:
-        v = variables[0]
-        cnf.add([v] if parity else [-v])
-        return []
-    fresh = []
     acc = variables[0]
     for v in variables[1:]:
         t = cnf.fresh()
-        fresh.append(t)
         # t <-> acc xor v
         cnf.add([-t, acc, v])
         cnf.add([-t, -acc, -v])
         cnf.add([t, -acc, v])
         cnf.add([t, acc, -v])
         acc = t
-    cnf.add([acc] if parity else [-acc])
-    return fresh
+    return acc
+
+
+def add_xor_constraint(cnf: Cnf, variables, parity: int):
+    """Add clauses forcing ``xor(variables) == parity``: the xor_literal
+    chain and one unit, at most 4*len(variables) clauses."""
+    variables = list(variables)
+    if not variables:
+        if parity:
+            cnf.add([])  # unsatisfiable
+        return
+    lit = xor_literal(cnf, variables)
+    cnf.add([lit] if parity else [-lit])

@@ -3,7 +3,16 @@
 An Oracle session answers satisfiability queries either with the
 built-in CDCL engine or by shelling out to an external SAT solver that
 speaks DIMACS / SAT-competition output.  On top of plain queries sit
-ApproxMC-style projected approximate counting and hash-cell sampling.
+projected approximate counting and hash-cell sampling.
+
+Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  A
+trial draws one sequence of random XOR rows over the projection, so its
+cells are nested: cell L+1 lies inside cell L.  One incremental query per
+trial serves every level (_NestedCells).  The trial's level is the
+smallest whose cell holds at most PIVOT models, searched from the
+previous trial's level; the estimate is the median of count x 2^level,
+and its hash_bits is the last trial's level.  On "exec:" each solve is
+one process on a copy of the query with the assumptions as unit clauses.
 
 Randomness: one integer seed drives everything; each derived stream is
 seeded from the string "seed/label" so results are reproducible and
@@ -19,7 +28,7 @@ import subprocess
 import tempfile
 import time
 
-from .cnf import Cnf, add_xor_constraint
+from .cnf import Cnf, add_xor_constraint, xor_literal
 from .solver import Solver, ResourceLimitError
 
 
@@ -109,14 +118,19 @@ class Oracle:
             return Solver(cnf)
         return _ExecQuery(cnf.nvars, cnf.clauses)
 
-    def _solve(self, query, cnf: Cnf) -> OracleResult:
-        """One counted solve of an open query on cnf.  The query size
-        recorded is cnf's, without the blocking clauses added since."""
+    def _solve(self, query, cnf: Cnf, assumptions=()) -> OracleResult:
+        """One counted solve of an open query on cnf under assumption
+        literals.  On "exec:" the assumptions become unit clauses of a
+        one-shot copy of the query.  The query size recorded is cnf's,
+        without the blocking clauses added since."""
         t0 = time.monotonic()
         try:
             if isinstance(query, _ExecQuery):
+                if assumptions:
+                    query = Cnf(query.nvars, query.clauses
+                                + [[a] for a in assumptions])
                 return solve_external(query, self.backend[5:], self.timeout)
-            if query.solve(max_conflicts=self.max_conflicts):
+            if query.solve(assumptions, max_conflicts=self.max_conflicts):
                 return OracleResult("sat", query.model())
             return OracleResult("unsat")
         finally:
@@ -229,53 +243,128 @@ def _hashed(cnf: Cnf, proj, bits: int, rng) -> Cnf:
     return work
 
 
-def _survivors(cnf: Cnf, proj, level: int, rng, oracle: Oracle, cap: int):
-    """Projected models surviving `level` fresh XOR constraints, up to cap."""
-    return sum(1 for _ in oracle.enumerate(_hashed(cnf, proj, level, rng),
-                                           proj, limit=cap))
+class _NestedCells:
+    """One counting trial: the nested cells of one XOR row sequence, all
+    on one open query.
+
+    Rows are drawn from rng as levels need them, in _hashed's order, and
+    enter the query as parity chains (cnf.xor_literal); a level's solves
+    assume the parity literals of its rows.  Every projected model found
+    is blocked once and kept as a bit mask over proj, so a level's count
+    is the kept models that pass its rows (a parity check, no solve) plus
+    the new models its solves find.
+    """
+
+    def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle):
+        self.proj = proj
+        self.rng = rng
+        self.oracle = oracle
+        self.work = cnf.copy()      # the query without its blocking clauses
+        self.query = oracle._open(self.work)
+        self.rows = []              # (mask over proj, parity)
+        self.assumptions = []       # per row; None for a row without variables
+        self.kept = []              # projected models found, as masks
+        self.complete = len(proj) + 1  # smallest level whose cell is all kept
+
+    def _draw_row(self):
+        picks = [i for i in range(len(self.proj)) if self.rng.getrandbits(1)]
+        parity = self.rng.getrandbits(1)
+        self.rows.append((sum(1 << i for i in picks), parity))
+        if not picks:
+            # parity 0 holds everywhere; parity 1 empties the cell
+            self.assumptions.append(None)
+            if parity:
+                self.complete = min(self.complete, len(self.rows))
+            return
+        n0 = len(self.work.clauses)
+        lit = xor_literal(self.work, [self.proj[i] for i in picks])
+        for clause in self.work.clauses[n0:]:
+            self.query.add_clause(clause)
+        self.assumptions.append(lit if parity else -lit)
+
+    def count(self, level: int) -> int:
+        """Projected models in cell `level`, capped at PIVOT + 1."""
+        while len(self.rows) < level:
+            self._draw_row()
+        rows = self.rows[:level]
+        n = sum(1 for m in self.kept
+                if all((m & mask).bit_count() & 1 == p for mask, p in rows))
+        assumptions = [a for a in self.assumptions[:level] if a is not None]
+        while n <= PIVOT and level < self.complete and not self.query.unsat:
+            res = self.oracle._solve(self.query, self.work, assumptions)
+            if not res.is_sat:
+                self.complete = level
+                break
+            bits = [res.model[v] for v in self.proj]
+            self.kept.append(sum(b << i for i, b in enumerate(bits)))
+            self.query.add_clause([-v if b else v
+                                   for v, b in zip(self.proj, bits)])
+            n += 1
+        return min(n, PIVOT + 1)
+
+    def saturation_level(self, hint: int) -> int:
+        """The smallest level whose cell holds at most PIVOT models (at
+        most len(proj)), found by galloping from hint, then bisecting."""
+        top = len(self.proj)
+
+        def small(lv):
+            return lv >= top or self.count(lv) <= PIVOT
+
+        # once set: level `big` overflows (-1 stands below level 0) and
+        # level `fit` is small
+        level, step = min(max(hint, 0), top), 1
+        if small(level):
+            fit = level
+            while fit - step >= 0 and small(fit - step):
+                fit -= step
+                step *= 2
+            big = max(fit - step, -1)
+        else:
+            big = level
+            while big + step < top and not small(big + step):
+                big += step
+                step *= 2
+            fit = min(big + step, top)
+        while fit - big > 1:
+            mid = (big + fit) // 2
+            if small(mid):
+                fit = mid
+            else:
+                big = mid
+        return fit
 
 
 def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
                            seed=0, oracle: Oracle = None,
                            level_hint: int = None) -> CountEstimate:
-    """ApproxMC-style projected count: median of survivors × 2^level.
+    """ApproxMC2-style projected count: the median over trials of the
+    saturated cell's count x 2^level.
 
-    Exact when the projected count is at most the pivot.  With an odd
-    trial count and median aggregation the estimate is within a factor
-    of 2 of the truth with high empirical probability.  level_hint
-    starts the saturation-level search near a previously found level.
+    Trial t hashes with rows from labeled_rng(seed, f"count/{t}") on its
+    own _NestedCells query, and saturates at the smallest level whose cell
+    holds at most PIVOT models, searched from the previous trial's level
+    (level_hint for the first).  Level 0 returns the exact count at once,
+    so the count is exact when it is at most PIVOT, and 0 only when the
+    unhashed query is unsat.  An empty cell above level 0 counts as the
+    level below, which overflowed.  hash_bits is the last trial's level.
     """
+    if epsilon_trials < 1:
+        raise ValueError(f"counting needs at least 1 trial, got "
+                         f"{epsilon_trials}")
     proj = list(proj)
     oracle = oracle or Oracle()
-    cap = 2 * PIVOT + 1
-    base = _survivors(cnf, proj, 0, None, oracle, PIVOT + 1)
-    if base <= PIVOT:
-        return CountEstimate(base, 0, 1)
-    # saturation level: smallest level whose cell holds <= pivot survivors
-    probe = labeled_rng(seed, "count/probe")
-
-    def small(lv):
-        return _survivors(cnf, proj, lv, probe, oracle, PIVOT + 1) <= PIVOT
-
-    level = min(max(level_hint or 1, 1), len(proj))
-    if small(level):
-        while level > 1 and small(level - 1):
-            level -= 1
-    else:
-        level += 1
-        while level < len(proj) and not small(level):
-            level += 1
+    level = level_hint or 0
     ests = []
     for t in range(epsilon_trials):
-        rng = labeled_rng(seed, f"count/{t}")
-        s = _survivors(cnf, proj, level, rng, oracle, cap)
-        if s == 0 and level > 0:
-            # unlucky empty cell: step one level down for this trial
-            rng2 = labeled_rng(seed, f"count/{t}/retry")
-            s = _survivors(cnf, proj, level - 1, rng2, oracle, cap) / 2
-        ests.append(s * (1 << level))
+        cells = _NestedCells(cnf, proj, labeled_rng(seed, f"count/{t}"),
+                             oracle)
+        level = cells.saturation_level(level)
+        n = cells.count(level)
+        if level == 0:
+            return CountEstimate(n, 0, t + 1)
+        ests.append(n << level if n else (PIVOT + 1) << (level - 1))
     ests.sort()
-    return CountEstimate(int(ests[len(ests) // 2]), level, epsilon_trials)
+    return CountEstimate(ests[len(ests) // 2], level, epsilon_trials)
 
 
 def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,

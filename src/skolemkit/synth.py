@@ -112,15 +112,6 @@ class CoverSet:
         return len(self.elements)
 
 
-def _uncovered_cnf(spec: Specification, elements) -> Cnf:
-    """F(X,Y) & AND_{y in S'} ~F(X,y)."""
-    cnf = spec.cnf.copy()
-    for bits in elements:
-        c = substitute(spec, list(bits))
-        tseitin(c, lambda v: v, cnf, assert_outputs=[0])
-    return cnf
-
-
 def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
     """Select the lexicographically first y in S' with F(x, y) = 1."""
     tuples = sorted(cover.elements)
@@ -144,15 +135,15 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
     estimates = []
     iterations = 0
     level = None
+    uncov = spec.cnf.copy()     # F(X,Y) & AND_{y in S'} ~F(X,y)
     while True:
-        uncov = _uncovered_cnf(spec, elements)
         est = approx_count_projected(
             uncov, spec.x_vars, epsilon_trials=count_trials,
             seed=seed, oracle=oracle, level_hint=level)
         estimates.append(est.estimate)
         level = est.hash_bits
         if est.estimate == 0:
-            # exact zero comes from the enumeration path: certified unsat
+            # 0 only from an unsat level-0 solve: certified complete
             break
         hb = max(0, math.ceil(math.log2(max(1, est.estimate / (2 * k)))))
         model = sample_with_retries(uncov, spec.x_vars, hb, seed, oracle,
@@ -162,6 +153,8 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
         ybits = tuple(model[v] for v in spec.y_vars)
         assert ybits not in elements
         elements.append(ybits)
+        tseitin(substitute(spec, list(ybits)), lambda v: v, uncov,
+                assert_outputs=[0])
         iterations += 1
         if len(elements) > 2 * k * (spec.n + 2):
             k *= 2

@@ -213,6 +213,12 @@ def test_count_report(tmp_path, spec_file):
     assert report["projection"] == "xy"
 
 
+def test_count_rejects_fewer_than_one_trial(spec_file, capsys):
+    for trials in ("0", "-1"):
+        assert main(["count", spec_file, "--trials", trials]) == 64
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_interp_exp_csv(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["interp-exp", "--m", "1..2", "-o", str(out)]) == 0

@@ -1,9 +1,11 @@
 import collections
 import itertools
 import random
+import subprocess
 
 import pytest
 
+import skolemkit.oracle as oracle_mod
 from skolemkit.cnf import Cnf
 from skolemkit.oracle import (SAMPLE_RETRIES, ExternalSolverError, Oracle,
                               approx_count_projected, labeled_rng,
@@ -12,15 +14,18 @@ from skolemkit.oracle import (SAMPLE_RETRIES, ExternalSolverError, Oracle,
 from skolemkit.solver import ResourceLimitError, Solver
 
 
-def brute_count(cnf, proj):
-    proj = list(proj)
-    seen = set()
+def projected_models(cnf, proj):
+    models = set()
     for bits in itertools.product((0, 1), repeat=cnf.nvars):
         model = dict(zip(range(1, cnf.nvars + 1), bits))
         if all(any(model[abs(l)] == (l > 0) for l in c)
                for c in cnf.clauses):
-            seen.add(tuple(model[v] for v in proj))
-    return len(seen)
+            models.add(tuple(model[v] for v in proj))
+    return models
+
+
+def brute_count(cnf, proj):
+    return len(projected_models(cnf, proj))
 
 
 def random_cnf(rng, nv, factor=3.0):
@@ -173,6 +178,41 @@ def test_count_exact_small():
     assert approx_count_projected(unsat, [1], seed=0).estimate == 0
 
 
+def test_count_exact_up_to_pivot_from_any_hint():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 30:
+        cnf = random_cnf(rng, rng.randint(4, 8), factor=1.0)
+        proj = list(range(1, cnf.nvars + 1))
+        truth = brute_count(cnf, proj)
+        if truth > oracle_mod.PIVOT:
+            continue
+        hint = rng.choice([None, 0, 1, 3, len(proj), 2 * len(proj)])
+        est = approx_count_projected(cnf, proj, seed=checked,
+                                     level_hint=hint)
+        assert (est.estimate, est.hash_bits) == (truth, 0)
+        checked += 1
+
+
+def test_nested_cell_counts_match_brute_force(monkeypatch):
+    # levels probed in any order, deeper or shallower than the last, count
+    # min(|cell|, PIVOT + 1) of the cell cut by the trial's first rows
+    monkeypatch.setattr(oracle_mod, "PIVOT", 5)
+    rng = random.Random(47)
+    for t in range(30):
+        cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
+        proj = list(range(1, cnf.nvars + 1))
+        models = projected_models(cnf, proj)
+        cells = oracle_mod._NestedCells(cnf, proj, labeled_rng(t, "cells"),
+                                        Oracle())
+        for level in [rng.randint(0, len(proj)) for _ in range(8)]:
+            got = cells.count(level)
+            cell = [m for m in models
+                    if all(sum(b for i, b in enumerate(m) if mask >> i & 1)
+                           % 2 == p for mask, p in cells.rows[:level])]
+            assert got == min(len(cell), 6)
+
+
 def test_count_single_model():
     cnf = Cnf(2)
     cnf.add([1])
@@ -202,6 +242,47 @@ def test_count_monotone_under_clause_addition():
     smaller = approx_count_projected(cnf, list(range(1, 10)), seed=3).estimate
     assert brute_count(cnf, range(1, 10)) == 256
     assert smaller <= 2 * 256 and bigger >= 256
+
+
+def test_count_is_zero_only_when_unsat(monkeypatch):
+    # with a pivot of 1, a cell above level 0 is often empty: a row over
+    # fixed variables only, or over none, with the wrong parity
+    monkeypatch.setattr(oracle_mod, "PIVOT", 1)
+    rng = random.Random(53)
+    for seed in range(60):
+        cnf = random_cnf(rng, rng.randint(2, 6), factor=1.0)
+        proj = list(range(1, cnf.nvars + 1))
+        est = approx_count_projected(cnf, proj, epsilon_trials=1, seed=seed)
+        assert (est.estimate == 0) == (brute_count(cnf, proj) == 0)
+
+
+def test_count_same_on_both_backends(monkeypatch, mini_solver):
+    # capped cell counts do not depend on which models a solver returns,
+    # so neither do the estimates; a small pivot makes 5 variables hash
+    monkeypatch.setattr(oracle_mod, "PIVOT", 3)
+    processes = []
+    run = subprocess.run
+
+    def counted(*args, **kwargs):
+        processes.append(None)
+        return run(*args, **kwargs)
+    monkeypatch.setattr(subprocess, "run", counted)
+    rng = random.Random(41)
+    hashed = 0
+    for seed in range(3):
+        cnf = random_cnf(rng, 5, factor=0.5)
+        proj = list(range(1, cnf.nvars + 1))
+        ext = Oracle(backend=f"exec:{mini_solver}", timeout=30)
+        got = approx_count_projected(cnf, proj, epsilon_trials=3, seed=seed,
+                                     oracle=ext)
+        want = approx_count_projected(cnf, proj, epsilon_trials=3,
+                                      seed=seed)
+        assert (got.estimate, got.hash_bits, got.trials) == \
+            (want.estimate, want.hash_bits, want.trials)
+        assert ext.calls == len(processes)
+        processes.clear()
+        hashed += got.hash_bits > 0
+    assert hashed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,38 @@ def test_assumptions():
     assert not s2.solve([-1, -2])
 
 
+def test_reused_solver_under_changing_assumptions():
+    # one Solver per CNF: solves under changing assumption sets with
+    # blocking clauses added in between, each answer checked by brute force
+    rng = random.Random(31)
+    assumption_unsats = 0
+    for _ in range(40):
+        cnf = random_cnf(rng, nv=rng.randint(3, 7), factor=1.5)
+        ref = cnf.copy()
+        s = Solver(cnf)
+        for _ in range(12):
+            picked = rng.sample(range(1, cnf.nvars + 1),
+                                rng.randint(0, min(3, cnf.nvars)))
+            assumptions = [v if rng.getrandbits(1) else -v for v in picked]
+            under = Cnf(ref.nvars, ref.clauses + [[a] for a in assumptions])
+            got = s.solve(assumptions)
+            assert got == (brute_sat(under) is not None)
+            base_sat = brute_sat(ref) is not None
+            # only a refutation of the formula itself marks it unsat
+            assert not (s.unsat and base_sat)
+            if got:
+                model = s.model()
+                for cl in under.clauses:
+                    assert any(model[abs(l)] == (l > 0) for l in cl)
+                block = [-v if model[v] else v for v in rng.sample(
+                    range(1, cnf.nvars + 1), rng.randint(1, cnf.nvars))]
+                s.add_clause(block)
+                ref.add(block)
+            elif base_sat:
+                assumption_unsats += 1
+    assert assumption_unsats > 20
+
+
 def test_empty_clause_unsat():
     c = Cnf(1)
     c.add([])

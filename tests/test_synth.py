@@ -8,6 +8,7 @@ from skolemkit.benchgen import gen_factor, gen_planted_cover
 from skolemkit.circuits import Builder, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle
+from skolemkit.solver import Solver
 from skolemkit.synth import (CoverSet, InconsistentEncodingError,
                              build_cover_circuit, count_consistent,
                              encode_bounded_circuits,
@@ -114,6 +115,20 @@ def test_cover_planted_and_estimates_decrease():
     ests = cover.uncovered_estimates
     assert ests[-1] == 0
     assert all(a > b for a, b in zip(ests, ests[1:]))
+
+
+def test_cover_solve_count_pinned(monkeypatch):
+    # about 610 solves; counting each cell on a fresh query takes 1,033
+    runs = []
+    solve = Solver.solve
+
+    def counted(self, *args, **kwargs):
+        runs.append(None)
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(Solver, "solve", counted)
+    oracle = Oracle()
+    synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0], oracle, 1, 1)
+    assert oracle.calls == len(runs) <= 700
 
 
 def test_build_cover_circuit_lex_in_sprime():
