@@ -5,11 +5,21 @@ restarts, 1UIP clause learning.  Learning is done on explicit literal
 sets so that every learned clause carries the exact sequence of binary
 resolution steps that derives it; a refutation can then be replayed as a
 checkable resolution proof.
+
+State lives in flat lists, as in MiniSat (Eén & Sörensson, SAT 2003).
+Level, reason, saved phase and activity are indexed by variable.  Values
+and watch lists are indexed by literal: a list of length 2*cap + 1 holds
+literal v at index v and literal -v, through Python's negative indexing,
+at index 2*cap + 1 - v.  ``ensure_vars`` doubles the capacity, so every
+literal must pass through it before it is looked up.  The 1UIP loop
+counts the current-level literals of the clause being derived (Zhang et
+al., ICCAD 2001) instead of recounting them after every resolution.
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heappop
+from operator import neg
 
 from .cnf import Cnf
 
@@ -32,12 +42,11 @@ def luby(i: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "cid", "learned", "chain", "w")
+    __slots__ = ("lits", "cid", "chain", "w")
 
-    def __init__(self, lits, cid, learned=False, chain=None):
+    def __init__(self, lits, cid, chain=None):
         self.lits = lits
         self.cid = cid
-        self.learned = learned
         self.chain = chain  # (start_cid, [(reason_cid, pivot_var), ...])
         self.w = None       # the two watched literals
 
@@ -48,16 +57,18 @@ class Solver:
         self.log_proof = log_proof
         self.by_id: dict[int, _Clause] = {}
         self.next_cid = 1
-        self.watches: dict[int, list] = {}
-        self.assign: dict[int, bool] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, _Clause] = {}
+        # by literal (length 2*cap + 1): True, False or None when unassigned
+        self.vals: list = [None]
+        self.watches: list[list] = [[]]
+        # by variable (length cap + 1)
+        self.level: list[int] = [0]
+        self.reason: list = [None]  # stale once the variable is unassigned
+        self.saved: list[bool] = [False]
+        self.activity: list[float] = [0.0]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity: dict[int, float] = {}
         self.var_inc = 1.0
-        self.saved: dict[int, bool] = {}
         self.heap: list = []
         self.unsat = False
         self.empty_chain = None  # chain deriving the empty clause
@@ -71,12 +82,23 @@ class Solver:
     # ---------- setup ----------
 
     def ensure_vars(self, n: int):
-        for v in range(self.nvars + 1, n + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
-            self.activity[v] = 0.0
-            self.saved[v] = False
-        self.nvars = max(self.nvars, n)
+        if n <= self.nvars:
+            return
+        cap = len(self.level) - 1
+        if n > cap:
+            new = max(n, 2 * cap)
+            extra = new - cap
+            # literals -cap..-1 sit at the end; keep them there
+            self.vals = (self.vals[:cap + 1] + [None] * (2 * extra)
+                         + self.vals[cap + 1:])
+            self.watches = (self.watches[:cap + 1]
+                            + [[] for _ in range(2 * extra)]
+                            + self.watches[cap + 1:])
+            self.level += [0] * extra
+            self.reason += [None] * extra
+            self.saved += [False] * extra
+            self.activity += [0.0] * extra
+        self.nvars = n
 
     def _watch(self, cl: _Clause, a: int, b: int):
         cl.w = [a, b]
@@ -86,18 +108,13 @@ class Solver:
     def add_clause(self, lits, _learned=False, _chain=None):
         """Add a clause.  External calls must happen between solve() calls;
         the solver backtracks to the root level first."""
-        seen = set()
-        clause = []
-        for lit in lits:
-            if lit not in seen:
-                seen.add(lit)
-                clause.append(lit)
-            self.ensure_vars(abs(lit))
-        if any(-l in seen for l in seen):
+        clause = list(dict.fromkeys(lits))
+        self.ensure_vars(max(map(abs, clause), default=0))
+        if not set(clause).isdisjoint(map(neg, clause)):
             return None  # tautology
         cid = self.next_cid
         self.next_cid += 1
-        cl = _Clause(tuple(clause), cid, _learned, _chain)
+        cl = _Clause(tuple(clause), cid, _chain)
         self.by_id[cid] = cl
         if not clause:
             self.unsat = True
@@ -112,7 +129,8 @@ class Solver:
                 self._watch(cl, clause[0], clause[1])
             return cl
         self._backjump(0)
-        nonfalse = [l for l in clause if self.value(l) is not False]
+        vals = self.vals
+        nonfalse = [l for l in clause if vals[l] is not False]
         if not nonfalse:
             self.unsat = True
             if self.log_proof:
@@ -131,71 +149,85 @@ class Solver:
     # ---------- assignment primitives ----------
 
     def value(self, lit: int):
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+        return self.vals[lit]
 
     def _enqueue(self, lit: int, reason):
         var = abs(lit)
-        self.assign[var] = lit > 0
+        self.vals[lit] = True
+        self.vals[-lit] = False
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            false_lit = -self.trail[self.qhead]
-            self.qhead += 1
-            watchlist = self.watches[false_lit]
+        trail, vals, watches = self.trail, self.vals, self.watches
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchlist = watches[false_lit]
             i = 0
-            while i < len(watchlist):
+            n = len(watchlist)
+            while i < n:
                 cl = watchlist[i]
                 w = cl.w
-                other = w[1] if w[0] == false_lit else w[0]
-                if self.value(other) is True:
+                other = w[0]
+                if other == false_lit:
+                    other = w[1]
+                v_other = vals[other]
+                if v_other is True:
                     i += 1
                     continue
-                # look for a replacement watch
-                moved = False
+                # look for a replacement watch (false_lit itself is False)
                 for cand in cl.lits:
-                    if cand == false_lit or cand == other:
-                        continue
-                    if self.value(cand) is not False:
-                        w[0 if w[0] == false_lit else 1] = cand
-                        self.watches[cand].append(cl)
-                        watchlist[i] = watchlist[-1]
-                        watchlist.pop()
-                        moved = True
+                    if vals[cand] is not False and cand != other:
+                        w[w[1] == false_lit] = cand  # false_lit's slot
+                        watches[cand].append(cl)
+                        n -= 1
+                        last = watchlist.pop()
+                        if i < n:
+                            watchlist[i] = last
                         break
-                if moved:
-                    continue
-                if self.value(other) is False:
-                    return cl  # conflict
-                self._enqueue(other, cl)
-                i += 1
+                else:
+                    if v_other is False:
+                        self.qhead = qhead
+                        return cl  # conflict
+                    vals[other] = True
+                    vals[-other] = False
+                    var = other if other > 0 else -other
+                    level[var] = lvl
+                    reason[var] = cl
+                    trail.append(other)
+                    i += 1
+        self.qhead = qhead
         return None
 
     # ---------- heuristics ----------
 
-    def _bump(self, var: int):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in self.activity:
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        heappush(self.heap, (-self.activity[var], var))
+    def _bump(self, variables):
+        """Raise the activity of each variable in turn."""
+        activity, heap, inc = self.activity, self.heap, self.var_inc
+        for var in variables:
+            activity[var] += inc
+            if activity[var] > 1e100:
+                activity[:] = [a * 1e-100 for a in activity]
+                inc *= 1e-100
+            heappush(heap, (-activity[var], var))
+        self.var_inc = inc
 
     def _decay(self):
         self.var_inc /= 0.95
 
     def _pick_branch_var(self):
-        while self.heap:
-            negact, var = heappop(self.heap)
-            if var not in self.assign and -negact == self.activity[var]:
+        heap, vals, activity = self.heap, self.vals, self.activity
+        while heap:
+            negact, var = heappop(heap)
+            if vals[var] is None and -negact == activity[var]:
                 return var
         for var in range(1, self.nvars + 1):
-            if var not in self.assign:
+            if vals[var] is None:
                 return var
         return None
 
@@ -205,38 +237,48 @@ class Solver:
         """1UIP learning on explicit literal sets.
 
         Returns (learned_lits ordered by decreasing level, backjump_level,
-        chain) where chain mirrors the performed resolutions.
+        chain, n) where chain mirrors the performed resolutions and n
+        counts the learned literals at the current level.
         """
+        trail, level, reason = self.trail, self.level, self.reason
         cur_level = len(self.trail_lim)
+        lim = self.trail_lim[-1]
         lits = set(conflict.lits)
+        n_cur = sum(1 for l in lits if level[abs(l)] == cur_level)
         chain = [] if self.log_proof else None
         start = conflict.cid
-        idx = len(self.trail) - 1
-        while True:
-            at_cur = [l for l in lits if self.level[abs(l)] == cur_level]
-            if len(at_cur) <= 1:
-                break
-            while idx >= 0:
-                t = self.trail[idx]
-                if -t in lits and self.level[abs(t)] == cur_level \
-                        and self.reason.get(abs(t)) is not None:
+        bumped = []  # resolved variables, then the learned clause's
+        idx = len(trail) - 1
+        while n_cur > 1:
+            # the trail from lim on holds exactly the current level
+            while idx >= lim:
+                t = trail[idx]
+                if -t in lits and reason[abs(t)] is not None:
                     break
                 idx -= 1
             else:
                 break  # only decision literals remain at this level
-            t = self.trail[idx]
             idx -= 1
-            r = self.reason[abs(t)]
+            var = abs(t)
+            r = reason[var]
+            rest = [x for x in r.lits if x != t]
+            for x in rest:
+                if x not in lits and level[abs(x)] == cur_level:
+                    n_cur += 1
+            n_cur -= 1
+            # the set's iteration order orders ties in the learned clause,
+            # and so its watches: keep exactly these set operations
             lits.discard(-t)
-            lits |= set(x for x in r.lits if x != t)
-            self._bump(abs(t))
+            lits |= set(rest)
+            bumped.append(var)
             if chain is not None:
-                chain.append((r.cid, abs(t)))
-        learned = sorted(lits, key=lambda l: -self.level[abs(l)])
-        for l in learned:
-            self._bump(abs(l))
-        bj = self.level[abs(learned[1])] if len(learned) > 1 else 0
-        return learned, bj, ((start, chain) if chain is not None else None)
+                chain.append((r.cid, var))
+        learned = sorted(lits, key=lambda l: -level[abs(l)])
+        bumped += map(abs, learned)
+        self._bump(bumped)
+        bj = level[abs(learned[1])] if len(learned) > 1 else 0
+        return (learned, bj, ((start, chain) if chain is not None else None),
+                n_cur)
 
     def _resolve_to_empty(self, start_cl: _Clause, lits: set):
         """All of ``lits`` are false at level 0: chain down to empty."""
@@ -262,16 +304,18 @@ class Solver:
         self.empty_chain = self._resolve_to_empty(cl, set(cl.lits))
 
     def _backjump(self, lvl: int):
-        while len(self.trail_lim) > lvl:
-            lim = self.trail_lim.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
+        trail_lim = self.trail_lim
+        if len(trail_lim) > lvl:
+            trail, vals = self.trail, self.vals
+            saved, activity, heap = self.saved, self.activity, self.heap
+            lim = trail_lim[lvl]
+            for lit in trail[lim:]:
                 var = abs(lit)
-                self.saved[var] = self.assign[var]
-                del self.assign[var]
-                del self.level[var]
-                self.reason.pop(var, None)
-                heappush(self.heap, (-self.activity[var], var))
+                saved[var] = lit > 0
+                vals[lit] = vals[-lit] = None
+                heappush(heap, (-activity[var], var))
+            del trail[lim:]
+            del trail_lim[lvl:]
         self.qhead = min(self.qhead, len(self.trail))
 
     # ---------- main ----------
@@ -282,13 +326,16 @@ class Solver:
         On True, ``model()`` returns a satisfying total assignment.  On
         False without assumptions the formula is unsatisfiable (with a
         loggable refutation in proof mode); with assumptions, it is
-        unsatisfiable under them.
+        unsatisfiable under them.  Assumptions may name variables that no
+        clause mentions yet.
         """
+        self.ensure_vars(max(map(abs, assumptions), default=0))
         if self.unsat:
             return False
         self._backjump(0)
+        vals = self.vals
         for lit, cl in self.pending_units:
-            val = self.value(lit)
+            val = vals[lit]
             if val is False:
                 self.unsat = True
                 if self.log_proof:
@@ -300,6 +347,7 @@ class Solver:
         conflict_budget = 0
         restarts = 0
         local_conflicts = 0
+        trail, trail_lim, saved = self.trail, self.trail_lim, self.saved
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -310,29 +358,27 @@ class Solver:
                     self._backjump(0)
                     raise ResourceLimitError(
                         f"conflict budget {max_conflicts} exceeded")
-                if len(self.trail_lim) == 0:
+                if len(trail_lim) == 0:
                     self.unsat = True
                     if self.log_proof:
                         self._derive_falsified(conflict)
                     return False
-                learned, bj, chain = self._analyze(conflict)
-                cur = [l for l in learned
-                       if self.level[abs(l)] == len(self.trail_lim)]
-                if len(cur) != 1:
+                learned, bj, chain, n_cur = self._analyze(conflict)
+                if n_cur != 1:
                     # conflict hinges on assumption decisions only
                     self._backjump(0)
                     return False
                 self._decay()
-                # asserting literal first, then a backjump-level literal
-                ordered = [cur[0]] + [l for l in learned if l != cur[0]]
+                # learned[0] is the one current-level literal (asserting),
+                # learned[1] a backjump-level literal
                 self._backjump(bj)
-                cl = self.add_clause(ordered, _learned=True, _chain=chain)
+                cl = self.add_clause(learned, _learned=True, _chain=chain)
                 if self.unsat:
                     return False
                 if len(cl.lits) == 1:
                     self.pending_units = [
                         (l, c) for (l, c) in self.pending_units if c is not cl]
-                self._enqueue(cur[0], cl)
+                self._enqueue(learned[0], cl)
                 if conflict_budget >= 100 * luby(restarts):
                     restarts += 1
                     conflict_budget = 0
@@ -340,7 +386,7 @@ class Solver:
                 continue
             next_assump = None
             for a in assumptions:
-                val = self.value(a)
+                val = vals[a]
                 if val is False:
                     self._backjump(0)
                     return False
@@ -348,22 +394,20 @@ class Solver:
                     next_assump = a
                     break
             if next_assump is not None:
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self._enqueue(next_assump, None)
                 continue
             var = self._pick_branch_var()
             if var is None:
                 return True
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.saved[var] else -var, None)
+            trail_lim.append(len(trail))
+            self._enqueue(var if saved[var] else -var, None)
 
     def model(self) -> dict:
         """Total assignment (unassigned vars take their saved phase)."""
+        vals, saved = self.vals, self.saved
         m = {}
         for v in range(1, self.nvars + 1):
-            if v in self.assign:
-                m[v] = 1 if self.assign[v] else 0
-            else:
-                m[v] = 1 if self.saved[v] else 0
+            val = vals[v]
+            m[v] = 1 if (saved[v] if val is None else val) else 0
         return m
-

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from skolemkit.cnf import Cnf
+from skolemkit.interplab import check_proof, expand_chains
 from skolemkit.oracle import Oracle
 from skolemkit.solver import ResourceLimitError, Solver, luby
 
@@ -74,6 +75,64 @@ def test_reused_solver_under_changing_assumptions():
             elif base_sat:
                 assumption_unsats += 1
     assert assumption_unsats > 20
+
+
+def test_assumptions_on_new_variables():
+    # variable 3 is in no clause: the session grows to take it
+    s = Solver(Cnf(2, [[1, 2]]))
+    for lit in (-3, 3, -3):
+        assert s.solve([lit])
+        model = s.model()
+        assert model[3] == (lit > 0)
+        assert model[1] or model[2]
+
+
+def test_growing_session_against_brute_force():
+    # one Solver per CNF that grows between solves as the counter's
+    # queries do: each step defines a fresh variable as the parity of two
+    # older ones (the clauses of cnf.xor_literal), may add a clause over
+    # the newest variables, and solves under assumptions on them, one of
+    # which may name a variable no clause has mentioned yet
+    rng = random.Random(47)
+    refutations = assumption_unsats = 0
+    for _ in range(40):
+        ref = random_cnf(rng, nv=rng.randint(2, 4), factor=1.0)
+        s = Solver(ref, log_proof=True)
+        while ref.nvars < 10 and not s.unsat:
+            a, b = rng.sample(range(1, ref.nvars + 1), 2)
+            t = ref.fresh()
+            new = [[-t, a, b], [-t, -a, -b], [t, -a, b], [t, a, -b]]
+            if rng.getrandbits(1):
+                new.append([-t, rng.choice([1, -1]) * rng.randint(1, t - 1)])
+            for cl in new:
+                s.add_clause(cl)
+                ref.add(cl)
+            assumptions = [rng.choice([1, -1]) * v
+                           for v in rng.sample(range(max(1, t - 2), t + 1),
+                                               rng.randint(0, 2))]
+            if rng.random() < 0.3:
+                assumptions.append(rng.choice([1, -1]) * ref.fresh())
+            under = Cnf(ref.nvars, ref.clauses + [[l] for l in assumptions])
+            got = s.solve(assumptions)
+            assert got == (brute_sat(under) is not None)
+            base_sat = brute_sat(ref) is not None
+            assert not (s.unsat and base_sat)
+            if got:
+                model = s.model()
+                for cl in under.clauses:
+                    assert any(model[abs(l)] == (l > 0) for l in cl)
+                block = [-v if model[v] else v for v in rng.sample(
+                    range(1, t + 1), rng.randint(1, 3))]
+                s.add_clause(block)
+                ref.add(block)
+            elif base_sat:
+                assumption_unsats += 1
+        if s.unsat or not s.solve():
+            # a refutation of the whole formula replays as a proof
+            assert brute_sat(ref) is None
+            assert check_proof(ref, expand_chains(s))
+            refutations += 1
+    assert refutations > 20 and assumption_unsats > 10
 
 
 def test_empty_clause_unsat():
