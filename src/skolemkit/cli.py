@@ -2,8 +2,9 @@
 
 Subcommands: synth, verify, check-unique, gen, count, interp-exp.
 Exit codes: 0 success, 10 counterexample / invalid / not unique,
-20 resource limit exceeded, 64 usage or input error.  A JSON run report
-is produced on exits 0 and 10 ("--json PATH", "-" for standard output).
+20 resource limit exceeded, 64 usage, input or output error.  A JSON run
+report is produced on exits 0 and 10 ("--json PATH", "-" for standard
+output).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 
 from . import benchgen, interplab, synth
 from .circuits import vector_from_circuits
-from .formula import (ParseError, parse_aiger, parse_spec, parse_skolem,
-                      emit_skolem, write_qdimacs)
+from .formula import (parse_aiger, parse_spec, parse_skolem, emit_skolem,
+                      write_qdimacs)
 from .oracle import Oracle, ExternalSolverError, approx_count_projected
 from .solver import ResourceLimitError
 from .verify import verify_skolem, check_unique
@@ -51,11 +52,8 @@ def _make_oracle(args) -> Oracle:
 
 
 def _load_spec(path: str):
-    try:
-        with open(path) as fh:
-            return parse_spec(fh.read())
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}")
+    with open(path) as fh:
+        return parse_spec(fh.read())
 
 
 def _write_report(report: dict, dest: str):
@@ -136,11 +134,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        with open(args.skolem) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {args.skolem}: {e}")
+    with open(args.skolem) as fh:
+        text = fh.read()
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     vec = (parse_aiger if first.startswith("aag") else parse_skolem)(text)
     if vec.m != spec.m or vec.n != spec.n:
@@ -279,7 +274,7 @@ def _build_parser() -> _Parser:
                     help="initial image-size guess for cover synthesis")
     sp.add_argument("--d", type=int, default=4,
                     help="candidate-pool multiplicity for the learner")
-    sp.add_argument("--lex-limit", type=int, default=16)
+    sp.add_argument("--lex-limit", type=int, default=synth.LEX_LIMIT)
     common(sp)
     sp.set_defaults(func=_cmd_synth)
 
@@ -341,14 +336,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError) as e:
+    except (UsageError, ValueError, OSError) as e:
+        # ValueError covers ParseError; OSError an unreadable input or
+        # unwritable output path
         print(f"skolemkit: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:
-        print(f"skolemkit: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ResourceLimitError, interplab.WidthBudgetError,
-            synth.BudgetExceededError) as e:
+    except ResourceLimitError as e:
         print(f"skolemkit: resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except ExternalSolverError as e:

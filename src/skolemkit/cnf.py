@@ -132,14 +132,3 @@ def xor_literal(cnf: Cnf, variables) -> int:
         acc = t
     return acc
 
-
-def add_xor_constraint(cnf: Cnf, variables, parity: int):
-    """Add clauses forcing ``xor(variables) == parity``: the xor_literal
-    chain and one unit, at most 4*len(variables) clauses."""
-    variables = list(variables)
-    if not variables:
-        if parity:
-            cnf.add([])  # unsatisfiable
-        return
-    lit = xor_literal(cnf, variables)
-    cnf.add([lit] if parity else [-lit])

@@ -15,7 +15,7 @@ import itertools
 from .circuits import Builder, Circuit, vector_from_circuits
 from .cnf import Cnf, tseitin
 from .formula import Specification
-from .solver import Solver
+from .solver import ResourceLimitError, Solver
 
 
 class ProofError(ValueError):
@@ -376,7 +376,7 @@ def relabel_axioms(proof: ResolutionProof,
 # ---------------------------------------------------------------------------
 # bounded-width saturation
 
-class WidthBudgetError(Exception):
+class WidthBudgetError(ResourceLimitError):
     """Saturation exceeded its clause budget before deciding."""
 
 
@@ -481,9 +481,7 @@ def interp_size_experiment(m_range=(1, 2, 3), max_conflicts=None):
                 row["proofLength"] = len(proof)
                 row["interpolantSize"] = extract_interpolant(
                     instance, proof).size
-        except Exception as e:  # resource limits leave the cell absent
-            from .solver import ResourceLimitError
-            if not isinstance(e, ResourceLimitError):
-                raise
+        except ResourceLimitError:  # resource limits leave the cell absent
+            pass
         rows.append(row)
     return rows

@@ -5,14 +5,20 @@ built-in CDCL engine or by shelling out to an external SAT solver that
 speaks DIMACS / SAT-competition output.  On top of plain queries sit
 projected approximate counting and hash-cell sampling.
 
-Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  A
-trial draws one sequence of random XOR rows over the projection, so its
-cells are nested: cell L+1 lies inside cell L.  One incremental query per
-trial serves every level (_NestedCells).  The trial's level is the
+Both rest on one primitive, _NestedCells: one sequence of random XOR
+rows over the projection, entered as parity literals on one incremental
+query, so its cells are nested (cell L+1 lies inside cell L) and each
+level's solves only assume the literals of its rows.  Every projected
+model found is kept and blocked, so no model is found twice.
+
+Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  One
+row sequence per trial serves every level.  The trial's level is the
 smallest whose cell holds at most PIVOT models, searched from the
 previous trial's level; the estimate is the median of count x 2^level,
-and its hash_bits is the last trial's level.  On "exec:" each solve is
-one process on a copy of the query with the assumptions as unit clauses.
+and its hash_bits is the last trial's level.  Sampling solves in cell
+hash_bits of one sequence and, while the cell is empty, in the enclosing
+cell one row up, down to level 0.  On "exec:" each solve is one process
+on a copy of the query with the assumptions as unit clauses.
 
 Randomness: one integer seed drives everything; each derived stream is
 seeded from the string "seed/label" so results are reproducible and
@@ -28,7 +34,7 @@ import subprocess
 import tempfile
 import time
 
-from .cnf import Cnf, add_xor_constraint, xor_literal
+from .cnf import Cnf, xor_literal
 from .solver import Solver, ResourceLimitError
 
 
@@ -147,21 +153,19 @@ class Oracle:
     def enumerate(self, cnf: Cnf, proj, limit: int = None):
         """Distinct models projected to proj (order deterministic).
 
-        One solve per model, on one query that blocks each model found.
-        The enumeration ends without a solve once the query is known
-        unsat, as a blocking clause can show on "internal".
+        One level-0 solve of a _NestedCells per model, so each model found
+        is blocked.  The enumeration ends without a solve once the query
+        is known unsat, as a blocking clause can show on "internal".
         """
         proj = list(proj)
-        query = self._open(cnf)
+        cells = _NestedCells(cnf, proj, None, self)
         count = 0
-        while count != limit and not query.unsat:
-            res = self._solve(query, cnf)
-            if not res.is_sat:
+        while count != limit:
+            model = cells.solve(0)
+            if model is None:
                 return
-            bits = tuple(res.model[v] for v in proj)
-            yield bits
+            yield tuple(model[v] for v in proj)
             count += 1
-            query.add_clause([(-v if b else v) for v, b in zip(proj, bits)])
 
 
 def solve_external(cnf: Cnf, command: str, timeout: float = None
@@ -229,30 +233,20 @@ def solve_external(cnf: Cnf, command: str, timeout: float = None
 # hash-based projected counting and sampling
 
 PIVOT = 40
-SAMPLE_RETRIES = 8          # empty-cell retries, one fewer hash bit each
-
-
-def _hashed(cnf: Cnf, proj, bits: int, rng) -> Cnf:
-    """A copy of cnf cut to a random cell by `bits` XOR constraints over
-    proj.  Each constraint draws one bit per projected variable (is it
-    included?) and then its parity."""
-    work = cnf.copy()
-    for _ in range(bits):
-        add_xor_constraint(work, [v for v in proj if rng.getrandbits(1)],
-                           rng.getrandbits(1))
-    return work
 
 
 class _NestedCells:
-    """One counting trial: the nested cells of one XOR row sequence, all
-    on one open query.
+    """The nested cells of one XOR row sequence, all on one open query.
 
-    Rows are drawn from rng as levels need them, in _hashed's order, and
-    enter the query as parity chains (cnf.xor_literal); a level's solves
-    assume the parity literals of its rows.  Every projected model found
-    is blocked once and kept as a bit mask over proj, so a level's count
-    is the kept models that pass its rows (a parity check, no solve) plus
-    the new models its solves find.
+    Rows are drawn from rng as levels need them (so rng may be None when
+    only level 0 is solved): one bit per projected variable (is it
+    included?), then the parity.  They enter the query as
+    parity chains (cnf.xor_literal), and a level's solves assume the
+    parity literals of its first `level` rows, so cell L+1 lies inside
+    cell L.  Every projected model found is blocked once and kept as a
+    bit mask over proj, so a level's count is the kept models that pass
+    its rows (a parity check, no solve) plus the new models its solves
+    find.
     """
 
     def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle):
@@ -264,7 +258,7 @@ class _NestedCells:
         self.rows = []              # (mask over proj, parity)
         self.assumptions = []       # per row; None for a row without variables
         self.kept = []              # projected models found, as masks
-        self.complete = len(proj) + 1  # smallest level whose cell is all kept
+        self.complete = float("inf")  # smallest level whose cell is all kept
 
     def _draw_row(self):
         picks = [i for i in range(len(self.proj)) if self.rng.getrandbits(1)]
@@ -282,6 +276,29 @@ class _NestedCells:
             self.query.add_clause(clause)
         self.assumptions.append(lit if parity else -lit)
 
+    def solve(self, level: int):
+        """A model with a new projection in cell `level`, or None.
+
+        One counted solve, whose projected model is then kept and blocked;
+        no solve when the cell is known to hold only kept models or the
+        query is known unsat.
+        """
+        while len(self.rows) < level:
+            self._draw_row()
+        if level >= self.complete or self.query.unsat:
+            return None
+        res = self.oracle._solve(
+            self.query, self.work,
+            [a for a in self.assumptions[:level] if a is not None])
+        if not res.is_sat:
+            self.complete = level
+            return None
+        bits = [res.model[v] for v in self.proj]
+        self.kept.append(sum(b << i for i, b in enumerate(bits)))
+        self.query.add_clause([-v if b else v
+                               for v, b in zip(self.proj, bits)])
+        return res.model
+
     def count(self, level: int) -> int:
         """Projected models in cell `level`, capped at PIVOT + 1."""
         while len(self.rows) < level:
@@ -289,16 +306,7 @@ class _NestedCells:
         rows = self.rows[:level]
         n = sum(1 for m in self.kept
                 if all((m & mask).bit_count() & 1 == p for mask, p in rows))
-        assumptions = [a for a in self.assumptions[:level] if a is not None]
-        while n <= PIVOT and level < self.complete and not self.query.unsat:
-            res = self.oracle._solve(self.query, self.work, assumptions)
-            if not res.is_sat:
-                self.complete = level
-                break
-            bits = [res.model[v] for v in self.proj]
-            self.kept.append(sum(b << i for i, b in enumerate(bits)))
-            self.query.add_clause([-v if b else v
-                                   for v, b in zip(self.proj, bits)])
+        while n <= PIVOT and self.solve(level) is not None:
             n += 1
         return min(n, PIVOT + 1)
 
@@ -372,33 +380,18 @@ def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
                      ) -> OracleResult:
     """Solve cnf in a random XOR cell of 2^-hash_bits of the projection.
 
-    An unsat result means the cell was empty; sample_with_retries retries
-    with fewer bits.
+    The rows come from labeled_rng(seed, label) on one _NestedCells
+    query.  An empty cell drops its last row, so the next try is the
+    enclosing cell of the same sequence, down to level 0: unsat means cnf
+    is unsat.  The model covers cnf's own variables only.
     """
     if hash_bits < 0:
         raise ValueError("hash_bits must be nonnegative")
-    oracle = oracle or Oracle()
-    res = oracle.solve(_hashed(cnf, proj, hash_bits,
-                               labeled_rng(seed, label)))
-    if res.is_sat:
-        # report only original variables
-        res = OracleResult("sat", {v: res.model[v]
-                                   for v in range(1, cnf.nvars + 1)})
-    return res
-
-
-def sample_with_retries(cnf: Cnf, proj, hash_bits: int, seed, oracle: Oracle,
-                        label: str):
-    """A model of cnf from a random XOR cell, or None when cnf is unsat.
-
-    Each empty cell is retried with one fewer hash bit, as sample_projected
-    labelled f"{label}/{r}" for retry r, up to SAMPLE_RETRIES times; if
-    hashing keeps missing a nonempty set, a plain solve decides.
-    """
-    for r in range(SAMPLE_RETRIES + 1):
-        res = sample_projected(cnf, proj, max(0, hash_bits - r), seed,
-                               oracle, label=f"{label}/{r}")
-        if res.is_sat:
-            return res.model
-    res = oracle.solve(cnf)
-    return res.model if res.is_sat else None
+    cells = _NestedCells(cnf, list(proj), labeled_rng(seed, label),
+                         oracle or Oracle())
+    for level in range(hash_bits, -1, -1):
+        model = cells.solve(level)
+        if model is not None:
+            return OracleResult("sat", {v: model[v]
+                                        for v in range(1, cnf.nvars + 1)})
+    return OracleResult("unsat")

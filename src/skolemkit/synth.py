@@ -26,14 +26,15 @@ from .circuits import (Builder, Circuit, SkolemVector, constant_vector,
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
 from .oracle import (Oracle, approx_count_projected, labeled_rng,
-                     sample_with_retries)
+                     sample_projected)
+from .solver import ResourceLimitError
 from .verify import check_unique
 
 LEX_LIMIT = 16
 DOUBLING_CAP = 1 << 10      # max circuit-size guess for the learner
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(ResourceLimitError):
     """A synthesis loop ran out of its iteration or size budget."""
 
 
@@ -146,11 +147,11 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
             # 0 only from an unsat level-0 solve: certified complete
             break
         hb = max(0, math.ceil(math.log2(max(1, est.estimate / (2 * k)))))
-        model = sample_with_retries(uncov, spec.x_vars, hb, seed, oracle,
-                                    label=f"cover/{iterations}")
-        if model is None:
+        res = sample_projected(uncov, spec.x_vars, hb, seed, oracle,
+                               label=f"cover/{iterations}")
+        if not res.is_sat:
             break
-        ybits = tuple(model[v] for v in spec.y_vars)
+        ybits = tuple(res.model[v] for v in spec.y_vars)
         assert ybits not in elements
         elements.append(ybits)
         tseitin(substitute(spec, list(ybits)), lambda v: v, uncov,
@@ -372,12 +373,12 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
             "no circuit of this size fits the counterexamples")
     hb = max(0, est.estimate.bit_length() - 4)
     for j in range(count):
-        model = sample_with_retries(encoding.cnf, encoding.structure_vars,
-                                    hb, seed, oracle, label=f"pool/{j}")
-        if model is None:
+        res = sample_projected(encoding.cnf, encoding.structure_vars, hb,
+                               seed, oracle, label=f"pool/{j}")
+        if not res.is_sat:
             raise InconsistentEncodingError(
                 "no circuit of this size fits the counterexamples")
-        circuits.append(encoding.decode(model))
+        circuits.append(encoding.decode(res.model))
     return circuits
 
 

@@ -39,6 +39,12 @@ print("s UNSATISFIABLE")
 sys.exit(20)
 """
 
+SLEEPER = """#!%(python)s
+import sys, time
+sys.stdin.read()
+time.sleep(60)
+"""
+
 
 def _script(path, text):
     path.write_text(text % {"python": sys.executable})
@@ -56,3 +62,9 @@ def mini_solver(tmp_path):
 def unsat_solver(tmp_path):
     """A solver that answers UNSATISFIABLE to every query."""
     return _script(tmp_path / "unsat.py", ALWAYS_UNSAT)
+
+
+@pytest.fixture
+def sleepy_solver(tmp_path):
+    """A solver that never answers within a test's timeout."""
+    return _script(tmp_path / "sleepy.py", SLEEPER)

@@ -124,6 +124,28 @@ def test_usage_errors_exit_64(tmp_path, spec_file):
     assert main(["verify", str(bad), spec_file]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "{spec}", "-o", "{bad}"],
+    ["synth", "{spec}", "--json", "{bad}"],
+    ["count", "{spec}", "--json", "{bad}"],
+    ["gen", "factor", "--bits", "3", "-o", "{ok}", "--ground-truth", "{bad}"],
+    ["interp-exp", "--m", "1", "-o", "{bad}"],
+])
+def test_unwritable_output_exit_64(tmp_path, spec_file, capsys, argv):
+    paths = {"spec": spec_file, "bad": str(tmp_path / "missing" / "out"),
+             "ok": str(tmp_path / "ok.qdimacs")}
+    assert main([a.format(**paths) for a in argv]) == 64
+    err = capsys.readouterr().err
+    assert "skolemkit: error:" in err and "Traceback" not in err
+
+
+def test_solver_timeout_exit_20(spec_file, sleepy_solver, capsys):
+    assert main(["check-unique", spec_file, "--bit", "1", "--solver",
+                 f"exec:{sleepy_solver}", "--timeout", "0.2"]) == 20
+    err = capsys.readouterr().err
+    assert "skolemkit: resource limit:" in err and "Traceback" not in err
+
+
 def test_check_unique_exit_codes(tmp_path, spec_file):
     assert main(["check-unique", spec_file, "--bit", "1"]) == 0
     assert main(["check-unique", spec_file, "--bit", "2"]) == 64

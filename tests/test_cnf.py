@@ -2,7 +2,7 @@ import itertools
 import random
 
 from skolemkit.circuits import Builder
-from skolemkit.cnf import Cnf, add_xor_constraint, tseitin
+from skolemkit.cnf import Cnf, tseitin, xor_literal
 from skolemkit.oracle import Oracle
 from skolemkit.solver import Solver
 
@@ -91,7 +91,8 @@ def test_xor_constraint_semantics():
     for nv in (1, 2, 3, 4):
         for parity in (0, 1):
             cnf = Cnf(nv)
-            add_xor_constraint(cnf, list(range(1, nv + 1)), parity)
+            lit = xor_literal(cnf, list(range(1, nv + 1)))
+            cnf.add([lit if parity else -lit])
             models = {bits[:nv] for bits in brute_models(cnf)}
             want = {bits for bits in itertools.product((0, 1), repeat=nv)
                     if sum(bits) % 2 == parity}
@@ -100,7 +101,7 @@ def test_xor_constraint_semantics():
 
 def test_xor_clause_budget():
     cnf = Cnf(6)
-    add_xor_constraint(cnf, [1, 2, 3, 4, 5, 6], 1)
+    cnf.add([xor_literal(cnf, [1, 2, 3, 4, 5, 6])])
     assert len(cnf.clauses) <= 4 * 6
 
 
@@ -118,7 +119,8 @@ def test_xor_preserves_projected_models():
         vs = [v for v in range(1, nv + 1) if rng.getrandbits(1)] or [1]
         parity = rng.getrandbits(1)
         work = cnf.copy()
-        add_xor_constraint(work, vs, parity)
+        lit = xor_literal(work, vs)
+        work.add([lit if parity else -lit])
         after = {m[:nv] for m in brute_models(work)}
         want = {m for m in before
                 if sum(m[v - 1] for v in vs) % 2 == parity}

@@ -7,10 +7,9 @@ import pytest
 
 import skolemkit.oracle as oracle_mod
 from skolemkit.cnf import Cnf
-from skolemkit.oracle import (SAMPLE_RETRIES, ExternalSolverError, Oracle,
+from skolemkit.oracle import (ExternalSolverError, Oracle,
                               approx_count_projected, labeled_rng,
-                              sample_projected, sample_with_retries,
-                              solve_external)
+                              sample_projected, solve_external)
 from skolemkit.solver import ResourceLimitError, Solver
 
 
@@ -159,7 +158,7 @@ def test_calls_equal_solver_runs(solver_runs):
         list(o.enumerate(cnf, proj))
         list(o.enumerate(cnf, proj[:3], limit=2))
         approx_count_projected(cnf, proj, seed=seed, oracle=o)
-        sample_with_retries(cnf, proj, 3, seed, o, label="t")
+        sample_projected(cnf, proj, 3, seed, o, label="t")
         assert o.calls == len(solver_runs) - before
 
 
@@ -295,18 +294,17 @@ def test_sample_hashbits_zero_is_plain_solve():
     assert res.is_sat and res.model[1] == 1
 
 
-def test_sample_with_retries_drops_bits_then_solves():
-    sat = Cnf(2)
-    sat.add([1])
-    model = sample_with_retries(sat, [1, 2], 2, 0, Oracle(), label="t")
-    assert model[1] == 1
-    unsat = Cnf(2)
-    unsat.add([1])
-    unsat.add([-1])
-    o = Oracle()
-    assert sample_with_retries(unsat, [1, 2], 2, 0, o, label="t") is None
-    # every retry is one sample, then one plain solve decides
-    assert o.calls == SAMPLE_RETRIES + 2
+def test_sample_unsat_cnf_costs_at_most_hash_bits_plus_one():
+    # every clause over 3 variables: unsat, but not at the root
+    unsat = Cnf(4)
+    for signs in itertools.product((1, -1), repeat=3):
+        unsat.add([s * v for s, v in zip(signs, (1, 2, 3))])
+    for hash_bits in range(5):
+        for seed in range(5):
+            o = Oracle()
+            res = sample_projected(unsat, [1, 2, 3, 4], hash_bits, seed, o)
+            assert not res.is_sat
+            assert o.calls <= hash_bits + 1
 
 
 def test_sample_models_satisfy_query():
@@ -320,13 +318,62 @@ def test_sample_models_satisfy_query():
                 assert any(res.model[abs(l)] == (l > 0) for l in cl)
 
 
-def test_sample_empty_cell_allowed():
+def test_sample_finds_lone_model():
+    # most cells of 2 rows miss the lone model; the sample still finds it
     cnf = Cnf(2)
     cnf.add([1])
-    cnf.add([2])  # single model
-    outcomes = {sample_projected(cnf, [1, 2], 2, seed=s).status
-                for s in range(10)}
-    assert "unsat" in outcomes  # some cells miss the lone model
+    cnf.add([2])
+    for s in range(10):
+        res = sample_projected(cnf, [1, 2], 2, seed=s)
+        assert res.is_sat and (res.model[1], res.model[2]) == (1, 1)
+
+
+def test_sample_lies_in_deepest_nonempty_prefix_cell():
+    rng = random.Random(61)
+    for seed in range(30):
+        cnf = random_cnf(rng, 6, factor=1.0)
+        proj = [1, 2, 3, 4, 5]
+        hash_bits = seed % 5
+        res = sample_projected(cnf, proj, hash_bits, seed, label="t")
+        models = projected_models(cnf, proj)
+        assert res.is_sat == bool(models)
+        if not models:
+            continue
+        # redraw the rows: per row, a bit per projected variable, then
+        # the parity
+        draw = labeled_rng(seed, "t")
+        rows = []
+        for _ in range(hash_bits):
+            picks = [i for i in range(len(proj)) if draw.getrandbits(1)]
+            rows.append((picks, draw.getrandbits(1)))
+        cells = [{m for m in models
+                  if all(sum(m[i] for i in picks) % 2 == parity
+                         for picks, parity in rows[:level])}
+                 for level in range(hash_bits + 1)]
+        deepest = max(lv for lv in range(hash_bits + 1) if cells[lv])
+        assert tuple(res.model[v] for v in proj) in cells[deepest]
+
+
+def test_sample_exec_backend(monkeypatch, mini_solver):
+    processes = []
+    run = subprocess.run
+
+    def counted(*args, **kwargs):
+        processes.append(None)
+        return run(*args, **kwargs)
+    monkeypatch.setattr(subprocess, "run", counted)
+    rng = random.Random(67)
+    for seed in range(4):
+        cnf = random_cnf(rng, 4, factor=1.0)
+        ext = Oracle(backend=f"exec:{mini_solver}", timeout=30)
+        res = sample_projected(cnf, [1, 2, 3, 4], 2, seed, ext)
+        assert res.is_sat == (brute_count(cnf, [1, 2, 3, 4]) > 0)
+        if res.is_sat:
+            assert set(res.model) == set(range(1, cnf.nvars + 1))
+            for cl in cnf.clauses:
+                assert any(res.model[abs(l)] == (l > 0) for l in cl)
+        assert ext.calls == len(processes)
+        processes.clear()
 
 
 def test_sample_roughly_uniform():
