@@ -132,8 +132,18 @@ class Builder:
         in this builder (allowing substitution of inputs by arbitrary
         subcircuits).  Returns the new ids of the circuit's outputs.
         """
-        remap: list[int] = [0] * len(circuit.gates)
-        for idx, gate in enumerate(circuit.gates):
+        n = len(circuit.gates)
+        remap = self.rebuild(circuit, resolve, [0] * n, range(n))
+        return [remap[o] for o in circuit.outputs]
+
+    def rebuild(self, circuit: "Circuit", resolve, remap: list,
+                order) -> list:
+        """Import the gates of ``circuit`` listed in ascending ``order``
+        into ``remap``, which must already hold the id here of every
+        unlisted gate that a listed one reads.  Returns ``remap``."""
+        gates = circuit.gates
+        for idx in order:
+            gate = gates[idx]
             op = gate[0]
             if op == "in":
                 remap[idx] = resolve(gate[1])
@@ -143,7 +153,7 @@ class Builder:
                 remap[idx] = self.not_(remap[gate[1]])
             else:
                 remap[idx] = self._binop(op, remap[gate[1]], remap[gate[2]])
-        return [remap[o] for o in circuit.outputs]
+        return remap
 
     def extract(self, outputs) -> "Circuit":
         """Garbage-collect to the cone of ``outputs`` and freeze."""

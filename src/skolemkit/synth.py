@@ -51,9 +51,37 @@ def _lex_terms(spec: Specification, tuples):
     For each y-tuple (in the given order) build
     term_j = F(X, y_j) & AND_{j' < j} ~F(X, y_j'), sharing the running
     prefix product.  Returns (builder, term gate ids in tuple order).
+
+    F enters each tuple by partial evaluation: gates reading only Y are
+    evaluated for all tuples at once (bit j of a mask is the value under
+    tuple j), gates reading only X keep the ids of a full import, and
+    only gates reading both are rebuilt.  Tuples take the full import
+    until const(0) exists, so the builder makes the same gates in the
+    same order as with one full import per tuple.
     """
     b = Builder()
     xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}
+    gates, out = spec.matrix.gates, spec.matrix.outputs[0]
+    reads = []      # per gate: 0 constant, 1 X only, 2 Y only, 3 both
+    for gate in gates:
+        if gate[0] == "in":
+            reads.append(2 if gate[1] in spec.y_vars else 1)
+        elif gate[0] == "const":
+            reads.append(0)
+        else:
+            reads.append(reads[gate[1]] | reads[gate[-1]])
+    mixed = [i for i, r in enumerate(reads) if r == 3]
+    # the Y-only gates that a mixed gate or the output reads
+    yonly = sorted({c for i in mixed for c in gates[i][1:] if reads[c] == 2}
+                   | ({out} if reads[out] == 2 else set()))
+    width = len(tuples)
+    assign = dict.fromkeys(spec.x_vars, 0)
+    for k, v in enumerate(spec.y_vars):
+        assign[v] = int("".join("1" if bits[k] else "0"
+                                for bits in reversed(tuples)), 2)
+    # cols[g][j] is "1" iff Y-only gate yonly[g] holds under tuple j
+    cols = [format(v, f"0{width}b")[::-1] for v in
+            Circuit(gates, yonly).eval_masks(assign, width=width)]
 
     def resolve_for(bits):
         binding = dict(zip(spec.y_vars, bits))
@@ -65,9 +93,18 @@ def _lex_terms(spec: Specification, tuples):
         return resolve
 
     terms = []
-    prefix = b.const(1)     # no smaller tuple satisfies F
-    for bits in tuples:
-        fx = b.import_circuit(spec.matrix, resolve_for(bits))[0]
+    one = prefix = b.const(1)     # no smaller tuple satisfies F
+    remap = [0] * len(gates)
+    for j, bits in enumerate(tuples):
+        zero = b._cache.get(("const", 0))
+        if zero is None:
+            b.rebuild(spec.matrix, resolve_for(bits), remap,
+                      range(len(gates)))
+        else:
+            for g, col in zip(yonly, cols):
+                remap[g] = one if col[j] == "1" else zero
+            b.rebuild(spec.matrix, None, remap, mixed)
+        fx = remap[out]
         terms.append(b.and_(fx, prefix))
         prefix = b.and_(prefix, b.not_(fx))
     return b, terms
@@ -88,6 +125,8 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
 
     Oracle-free; total size is bounded by |F|·m·2^{2m} (empirically far
     smaller thanks to shared prefix products and constant folding).
+    Per tuple only F's gates that read both X and Y are rebuilt; the
+    Y-only gates are evaluated once for all 2^m tuples (see _lex_terms).
     """
     if spec.m > m_limit:
         raise ValueError(
@@ -504,7 +543,7 @@ def synth_auto(spec: Specification, oracle: Oracle = None,
     lex_limit = cfg.get("lex_limit", LEX_LIMIT)
     seed = cfg.get("seed", 0)
     if spec.m <= lex_limit:
-        return synth_lex(spec)
+        return synth_lex(spec, m_limit=lex_limit)
     psis = {i: c for i, c in unique_bits(spec, oracle, cfg.get("d", 4), seed)
             if c is not None}
     rest = [i for i in range(1, spec.m + 1) if i not in psis]

@@ -83,6 +83,73 @@ def test_lex_limit_enforced():
         synth_lex(spec, m_limit=2)
 
 
+def reference_selector(spec, tuples):
+    """The lex selector with one full import of F per tuple, the loop that
+    partial evaluation in _lex_terms must reproduce gate for gate."""
+    b = Builder()
+    xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}
+    terms = []
+    prefix = b.const(1)
+    for bits in tuples:
+        binding = dict(zip(spec.y_vars, bits))
+        fx = b.import_circuit(
+            spec.matrix, lambda v: b.const(binding[v]) if v in binding
+            else b.inp(("x", xpos[v])))[0]
+        terms.append(b.and_(fx, prefix))
+        prefix = b.and_(prefix, b.not_(fx))
+    outs = [b.or_many(t for bits, t in zip(tuples, terms) if bits[i] == 1)
+            for i in range(spec.m)]
+    return b.extract(outs)
+
+
+def assert_selector_matches_reference(spec, tuples):
+    got = synth_mod._selector_vector(spec, tuples).arena
+    want = reference_selector(spec, tuples)
+    assert (got.gates, got.outputs) == (want.gates, want.outputs)
+
+
+def test_selector_gate_for_gate_on_random_specs():
+    rng = random.Random(77)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        spec = random_spec(rng, n, m)
+        all_y = list(itertools.product((0, 1), repeat=m))
+        assert_selector_matches_reference(spec, all_y)
+        assert_selector_matches_reference(
+            spec, sorted(rng.sample(all_y, rng.randint(1, len(all_y)))))
+
+
+def test_selector_gate_for_gate_corner_cases():
+    b = Builder()
+    x1, x2, y1, y2 = (b.inp(v) for v in (1, 2, 3, 4))
+    nb = Builder(lower_xor=False)
+    raw_xor = nb.and_(nb.inp(1), nb.xor_(nb.inp(3), nb.inp(4)))
+    matrices = [b.extract([b.and_(x1, x2)]),               # reads no Y
+                b.extract([b.xor_(y1, y2)]),               # Y-only output
+                b.extract([b.const(1)]),                   # constant
+                b.extract([b.const(0)]),
+                b.extract([b.and_(x1, b.and_(y1, y2))]),   # no const(0) at (1, 1)
+                nb.extract([raw_xor])]
+    all_y = list(itertools.product((0, 1), repeat=2))
+    for matrix in matrices:
+        spec = Specification([1, 2], [3, 4], matrix)
+        for tuples in (all_y, [(0, 1)], [(1, 1)], [(1, 1), (0, 1), (1, 0)]):
+            assert_selector_matches_reference(spec, tuples)
+
+
+def test_lex_binop_count_pinned(monkeypatch):
+    # about 34,000 with partial evaluation; a full import per tuple: 190,000
+    calls = []
+    binop = Builder._binop
+
+    def counted(self, *args):
+        calls.append(None)
+        return binop(self, *args)
+    monkeypatch.setattr(Builder, "_binop", counted)
+    synth_lex(gen_factor(5))
+    assert len(calls) <= 50_000
+
+
 # ---------------------------------------------------------------------------
 # covering set
 
@@ -407,6 +474,14 @@ def test_auto_default_lex_limit_makes_no_oracle_calls():
     vec = synth_auto(spec, oracle)
     assert oracle.calls == 0
     assert verify_skolem(spec, vec).is_valid
+
+
+def test_auto_passes_lex_limit_to_synth_lex(monkeypatch):
+    seen = []
+    monkeypatch.setattr(synth_mod, "synth_lex",
+                        lambda spec, m_limit=None: seen.append(m_limit))
+    synth_auto(random_spec(random.Random(3), 2, 3), cfg={"lex_limit": 20})
+    assert seen == [20]
 
 
 def test_auto_mixed_path():
