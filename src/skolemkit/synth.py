@@ -79,7 +79,7 @@ def _lex_terms(spec: Specification, tuples):
     for k, v in enumerate(spec.y_vars):
         assign[v] = int("".join("1" if bits[k] else "0"
                                 for bits in reversed(tuples)), 2)
-    # cols[g][j] is "1" iff Y-only gate yonly[g] holds under tuple j
+    # cols[k][j] is "1" iff gate yonly[k] holds under tuple j
     cols = [format(v, f"0{width}b")[::-1] for v in
             Circuit(gates, yonly).eval_masks(assign, width=width)]
 

@@ -128,7 +128,7 @@ def test_selector_gate_for_gate_corner_cases():
                 b.extract([b.xor_(y1, y2)]),               # Y-only output
                 b.extract([b.const(1)]),                   # constant
                 b.extract([b.const(0)]),
-                b.extract([b.and_(x1, b.and_(y1, y2))]),   # no const(0) at (1, 1)
+                b.extract([b.and_(x1, b.and_(y1, y2))]),  # (1, 1): no const 0
                 nb.extract([raw_xor])]
     all_y = list(itertools.product((0, 1), repeat=2))
     for matrix in matrices:
