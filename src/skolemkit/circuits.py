@@ -136,6 +136,23 @@ class Builder:
         remap = self.rebuild(circuit, resolve, [0] * n, range(n))
         return [remap[o] for o in circuit.outputs]
 
+    def import_chain(self, entries, xwire) -> list[int]:
+        """Wire per-output entries in order; returns the id of each.
+
+        An entry is a gate id of this builder or a single-output circuit
+        over ("x", i) and ("y", j) names: ("x", i) reads ``xwire(i)``
+        and ("y", j) reads the id of entry j, which comes earlier.
+        """
+        ids: list[int] = []
+
+        def resolve(name):
+            return xwire(name[1]) if name[0] == "x" else ids[name[1] - 1]
+
+        for e in entries:
+            ids.append(e if isinstance(e, int)
+                       else self.import_circuit(e, resolve)[0])
+        return ids
+
     def rebuild(self, circuit: "Circuit", resolve, remap: list,
                 order) -> list:
         """Import the gates of ``circuit`` listed in ascending ``order``
@@ -208,17 +225,15 @@ class Circuit:
 
     def eval(self, assign: dict) -> tuple:
         """Evaluate under a total assignment of input names to bits."""
-        return self.eval_masks(assign, mask=1)
+        return self.eval_masks(assign, 1)
 
-    def eval_masks(self, assign: dict, mask: int = None, width: int = None) -> tuple:
-        """Bit-parallel evaluation: input values are bitmasks of ``width``.
+    def eval_masks(self, assign: dict, width: int) -> tuple:
+        """Bit-parallel evaluation of ``width`` assignments at once.
 
-        With width w, position p of each value corresponds to one of up to
-        2**w simultaneous assignments.  ``mask=1`` degenerates to plain
-        single-assignment evaluation.
+        Bit p of each input and output value belongs to assignment p;
+        ``width=1`` is plain single-assignment evaluation.
         """
-        if mask is None:
-            mask = (1 << width) - 1
+        mask = (1 << width) - 1
         vals = [0] * len(self.gates)
         for idx, gate in enumerate(self.gates):
             op = gate[0]
@@ -248,7 +263,7 @@ class CyclicDependencyError(ValueError):
     pass
 
 
-def input_masks(names, width: int = None) -> dict:
+def input_masks(names) -> dict:
     """Standard bit-parallel input patterns for exhaustive evaluation.
 
     ``names[0]`` is the most significant position: assignment index
@@ -321,19 +336,9 @@ class SkolemVector:
         """
         if self._flat is None:
             b = Builder()
-            ywire = {}
-
-            def resolve(name):
-                if name[0] == "x":
-                    return b.inp(name)
-                return ywire[name[1]]
-
-            outs = []
-            for i in range(1, self.m + 1):
-                w = b.import_circuit(self.psi(i), resolve)[0]
-                ywire[i] = w
-                outs.append(w)
-            self._flat = b.extract(outs)
+            self._flat = b.extract(b.import_chain(
+                [self.psi(i) for i in range(1, self.m + 1)],
+                lambda i: b.inp(("x", i))))
         return self._flat
 
     @property
@@ -344,11 +349,10 @@ class SkolemVector:
         assign = {("x", i + 1): xbits[i] for i in range(self.n)}
         return list(self.flatten().eval(assign))
 
-    def eval_masks(self, width: int) -> list:
-        """Outputs on all 2**width X-assignments at once (n == width)."""
+    def eval_masks(self) -> list:
+        """Outputs on all 2**n X-assignments at once (see input_masks)."""
         assign = input_masks([("x", i) for i in range(1, self.n + 1)])
-        mask = (1 << (1 << self.n)) - 1
-        return list(self.flatten().eval_masks(assign, mask=mask))
+        return list(self.flatten().eval_masks(assign, 1 << self.n))
 
 
 def vector_from_circuits(n: int, psis) -> SkolemVector:

@@ -71,35 +71,45 @@ class Specification:
         """
         names = self.x_vars + self.y_vars
         assign = input_masks(names)
-        return self.matrix.eval_masks(assign, width=1 << len(names))[0]
+        return self.matrix.eval_masks(assign, 1 << len(names))[0]
 
 
-def substitute(spec: Specification, binding) -> Circuit:
-    """F with Y replaced by constants or by a Skolem vector; result over X.
+def substitute(spec: Specification, binding, names=None) -> Circuit:
+    """F with its outputs bound: the one composition of F's matrix.
 
-    ``binding`` is a sequence of m bits (Y_1 first), a dict var-id -> bit,
-    or a SkolemVector.
+    ``binding`` is a SkolemVector (Y_j := psi_j), a dict var-id -> bit
+    over all of Y, or one entry per Y_j (Y_1 first): a bit, a Circuit
+    over ("x", i) and earlier ("y", j) names, or None to keep Y_j as an
+    input.  ``names`` maps var ids to the result's input names (default:
+    the id).  Inputs, constants and bound cones are made in Y order.
     """
+    names = names or {}
     b = Builder()
-    xg = {v: b.inp(v) for v in spec.x_vars}
+    xg = [b.inp(names.get(v, v)) for v in spec.x_vars]
     if isinstance(binding, SkolemVector):
         if binding.m != spec.m or binding.n != spec.n:
             raise ValueError("Skolem vector shape does not match spec")
-        yg = b.import_circuit(binding.flatten(),
-                              lambda name: xg[spec.x_vars[name[1] - 1]])
-        ymap = dict(zip(spec.y_vars, yg))
-    else:
-        if not isinstance(binding, dict):
-            binding = {spec.y_vars[i]: bit for i, bit in enumerate(binding)}
+        binding = [binding.psi(j) for j in range(1, spec.m + 1)]
+    elif isinstance(binding, dict):
         for v in binding:
             if v not in spec.y_vars:
                 raise ValueError(f"binding names undeclared variable {v}")
         if set(binding) != set(spec.y_vars):
             raise ValueError("binding must be a total Y-assignment")
-        ymap = {v: b.const(binding[v]) for v in spec.y_vars}
-    out = b.import_circuit(spec.matrix,
-                           lambda v: xg[v] if v in xg else ymap[v])
-    return b.extract(out)
+        binding = [binding[v] for v in spec.y_vars]
+    elif len(binding) != spec.m:
+        raise ValueError(f"binding has {len(binding)} entries for "
+                         f"{spec.m} outputs")
+
+    def entry(v, e):
+        if e is None:
+            return b.inp(names.get(v, v))
+        return e if isinstance(e, Circuit) else b.const(e)
+
+    yg = b.import_chain((entry(v, e) for v, e in zip(spec.y_vars, binding)),
+                        lambda i: xg[i - 1])
+    wire = dict(zip(spec.x_vars + spec.y_vars, xg + yg))
+    return b.extract(b.import_circuit(spec.matrix, wire.__getitem__))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 
 from .circuits import Builder, Circuit, vector_from_circuits
 from .cnf import Cnf, tseitin
-from .formula import Specification
+from .formula import Specification, substitute
 from .solver import ResourceLimitError, Solver
 
 
@@ -295,28 +295,10 @@ def _substituted_side(spec: Specification, i: int, bit: int,
     Adds clauses into cnf using spec's ids for X and Y^{1:i-1}; returns
     the fresh side-local auxiliary variables.
     """
-    b = Builder()
-    xw = {v: b.inp(v) for v in spec.x_vars}
-    yw = {}
-
-    def resolve(nm):
-        if nm[0] == "x":
-            return xw[spec.x_vars[nm[1] - 1]]
-        return yw[nm[1]]
-
-    for j in range(1, spec.m + 1):
-        if j < i:
-            yw[j] = b.inp(spec.y_vars[j - 1])
-        elif j == i:
-            yw[j] = b.const(bit)
-        else:
-            yw[j] = b.import_circuit(built[j], resolve)[0]
-    out = b.import_circuit(
-        spec.matrix,
-        lambda v: xw[v] if v in xw
-        else yw[spec.y_vars.index(v) + 1])
-    circ = b.extract(out)
-    enc = tseitin(circ, lambda v: v, cnf, assert_outputs=True)
+    binding = ([None] * (i - 1) + [bit]
+               + [built[j] for j in range(i + 1, spec.m + 1)])
+    enc = tseitin(substitute(spec, binding), lambda v: v, cnf,
+                  assert_outputs=True)
     return enc.aux_vars
 
 
@@ -333,6 +315,8 @@ def slivovsky_synth(spec: Specification):
     """
     built = {}   # output index -> Circuit over ("x"/"y") names
     sizes = {}
+    label = {v: ("x", j) for j, v in enumerate(spec.x_vars, start=1)}
+    label.update((v, ("y", j)) for j, v in enumerate(spec.y_vars, start=1))
     for i in range(spec.m, 0, -1):
         base = max(spec.x_vars + spec.y_vars)
         cnf0 = Cnf(base)
@@ -350,13 +334,8 @@ def slivovsky_synth(spec: Specification):
         sizes[i] = icirc.size
         # I = 0 certifies the Y_i = 0 side false, so the bit must be ~I
         bb = Builder()
-
-        def invar(v):
-            if v in spec.x_vars:
-                return bb.inp(("x", spec.x_vars.index(v) + 1))
-            return bb.inp(("y", spec.y_vars.index(v) + 1))
-
-        built[i] = bb.extract([bb.not_(bb.import_circuit(icirc, invar)[0])])
+        got = bb.import_circuit(icirc, lambda v: bb.inp(label[v]))[0]
+        built[i] = bb.extract([bb.not_(got)])
     return vector_from_circuits(
         spec.n, [built[i] for i in range(1, spec.m + 1)]), sizes
 

@@ -148,9 +148,6 @@ class Solver:
 
     # ---------- assignment primitives ----------
 
-    def value(self, lit: int):
-        return self.vals[lit]
-
     def _enqueue(self, lit: int, reason):
         var = abs(lit)
         self.vals[lit] = True

@@ -32,6 +32,7 @@ from .verify import check_unique
 
 LEX_LIMIT = 16
 DOUBLING_CAP = 1 << 10      # max circuit-size guess for the learner
+COUNT_TRIALS = 3            # counting trials per cover iteration
 
 
 class BudgetExceededError(ResourceLimitError):
@@ -142,13 +143,17 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
 class CoverSet:
     """An ordered covering set S' of output tuples with run statistics."""
 
-    def __init__(self, elements, iterations=0, uncovered_estimates=None):
+    def __init__(self, elements, uncovered_estimates=None):
         self.elements = list(elements)
         assert len(set(self.elements)) == len(self.elements)
-        self.iterations = iterations
         self.uncovered_estimates = uncovered_estimates or []
 
     def __len__(self):
+        return len(self.elements)
+
+    @property
+    def iterations(self) -> int:
+        """Cover-loop iterations: each adds one element."""
         return len(self.elements)
 
 
@@ -161,8 +166,7 @@ def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
 
 
 def synth_cover(spec: Specification, oracle: Oracle = None,
-                k_guess0: int = 1, seed=0, count_trials: int = 3
-                ) -> tuple:
+                k_guess0: int = 1, seed=0) -> tuple:
     """Greedy covering set via hash counting/sampling, then a selector.
 
     Doubles the image-size guess k whenever S' outgrows the 2k(n+2)
@@ -173,12 +177,11 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
     k = max(1, k_guess0)
     elements = []
     estimates = []
-    iterations = 0
     level = None
     uncov = spec.cnf.copy()     # F(X,Y) & AND_{y in S'} ~F(X,y)
     while True:
         est = approx_count_projected(
-            uncov, spec.x_vars, epsilon_trials=count_trials,
+            uncov, spec.x_vars, epsilon_trials=COUNT_TRIALS,
             seed=seed, oracle=oracle, level_hint=level)
         estimates.append(est.estimate)
         level = est.hash_bits
@@ -187,7 +190,7 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
             break
         hb = max(0, math.ceil(math.log2(max(1, est.estimate / (2 * k)))))
         res = sample_projected(uncov, spec.x_vars, hb, seed, oracle,
-                               label=f"cover/{iterations}")
+                               label=f"cover/{len(elements)}")
         if not res.is_sat:
             break
         ybits = tuple(res.model[v] for v in spec.y_vars)
@@ -195,13 +198,12 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
         elements.append(ybits)
         tseitin(substitute(spec, list(ybits)), lambda v: v, uncov,
                 assert_outputs=[0])
-        iterations += 1
         if len(elements) > 2 * k * (spec.n + 2):
             k *= 2
             if k > 1 << spec.m:
                 raise BudgetExceededError(
                     f"cover budget exhausted at k={k}")
-    cover = CoverSet(elements, iterations, estimates)
+    cover = CoverSet(elements, estimates)
     return build_cover_circuit(spec, cover), cover
 
 
@@ -557,30 +559,12 @@ def synth_auto(spec: Specification, oracle: Oracle = None,
 
 
 def _residual_spec(spec: Specification, learned: dict, rest) -> Specification:
-    """F with learned bits substituted, over X and the remaining Y."""
-    b = Builder()
-    xw = {v: b.inp(("x", j + 1)) for j, v in enumerate(spec.x_vars)}
-    yw = {}
-
-    def resolve(nm):
-        if nm[0] == "x":
-            return xw[spec.x_vars[nm[1] - 1]]
-        return yw[nm[1]]
-
-    for i in range(1, spec.m + 1):
-        if i in learned:
-            yw[i] = b.import_circuit(learned[i], resolve)[0]
-        else:
-            yw[i] = b.inp(("y", i))
-    matrix = b.extract(
-        b.import_circuit(spec.matrix, lambda v: xw[v] if v in xw
-                         else yw[spec.y_vars.index(v) + 1]))
-    # renumber inputs to plain variable ids for a fresh Specification
-    nb = Builder()
+    """F with learned bits substituted, over X (ids 1..n) and the
+    remaining Y (ids n+1, ...)."""
     newx = list(range(1, spec.n + 1))
     newy = list(range(spec.n + 1, spec.n + 1 + len(rest)))
-    posmap = {("x", j + 1): newx[j] for j in range(spec.n)}
-    for pos, i in enumerate(rest):
-        posmap[("y", i)] = newy[pos]
-    out = nb.import_circuit(matrix, lambda nm: nb.inp(posmap[nm]))
-    return Specification(newx, newy, nb.extract(out))
+    names = dict(zip(spec.x_vars, newx))
+    names.update((spec.y_vars[i - 1], v) for i, v in zip(rest, newy))
+    matrix = substitute(spec, [learned.get(i) for i in range(1, spec.m + 1)],
+                        names)
+    return Specification(newx, newy, matrix)

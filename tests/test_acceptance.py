@@ -67,7 +67,7 @@ def lex_exhaustive_ok(spec, vec):
     the lexicographically smallest witness (checked bit-parallel)."""
     n, m = spec.n, spec.m
     smask = spec.sat_masks()  # bit (x << m) | y, first variable MSB
-    ymasks = vec.eval_masks(n)
+    ymasks = vec.eval_masks()
     for p in range(1 << n):
         # position p of the masks is the assignment with bits of p,
         # xnames[0] most significant, matching the sat_masks layout
@@ -112,7 +112,7 @@ def semantic_mutation(rng, spec, vec):
         outs = list(b.import_circuit(vec.arena, lambda nm: b.inp(nm)))
         outs[i] = b.not_(outs[i])
         mut = SkolemVector(n, b.extract(outs))
-        ymasks = mut.eval_masks(n)
+        ymasks = mut.eval_masks()
         for p in range(1 << n):
             window = (smask >> (p << m)) & ((1 << (1 << m)) - 1)
             if not window:

@@ -136,7 +136,7 @@ def test_vector_eval_masks():
     x1, x2 = b.inp(("x", 1)), b.inp(("x", 2))
     y1 = b.inp(("y", 1))
     vec = SkolemVector(2, b.extract([b.xor_(x1, x2), b.not_(y1)]))
-    m1, m2 = vec.eval_masks(2)
+    m1, m2 = vec.eval_masks()
     for v in range(4):
         x = [(v >> 1) & 1, v & 1]
         out = vec.eval(x)

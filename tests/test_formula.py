@@ -147,6 +147,36 @@ def test_substitute_eval_coherence():
             for j, v in enumerate(spec.y_vars):
                 full[v] = ybits[j]
             assert c.eval(a)[0] == spec.eval(full)
+    # per-output entries: kept input, bit, or a circuit reading an
+    # earlier output; inputs renamed through ``names``
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        spec = random_spec(rng, n, m)
+        binding = []
+        for j in range(1, m + 1):
+            kind = rng.randrange(3)
+            if kind == 2:
+                b = Builder()
+                w = b.inp(("x", rng.randint(1, n)))
+                if j > 1:
+                    w = b.xor_(w, b.inp(("y", rng.randint(1, j - 1))))
+                binding.append(b.extract([w]))
+            else:
+                binding.append(None if kind == 0 else rng.getrandbits(1))
+        names = {v: ("v", v) for v in spec.x_vars + spec.y_vars}
+        c = substitute(spec, binding, names)
+        for _ in range(8):
+            full = {v: rng.getrandbits(1) for v in spec.x_vars + spec.y_vars}
+            named = {("x", i): full[v]
+                     for i, v in enumerate(spec.x_vars, start=1)}
+            for j, (v, e) in enumerate(zip(spec.y_vars, binding), start=1):
+                if isinstance(e, int):
+                    full[v] = e
+                elif e is not None:
+                    full[v] = e.eval(named)[0]
+                named[("y", j)] = full[v]
+            got = c.eval({names[v]: bit for v, bit in full.items()})[0]
+            assert got == spec.eval(full)
 
 
 def test_substitute_rejects_bad_binding():
@@ -154,6 +184,9 @@ def test_substitute_rejects_bad_binding():
     spec = random_spec(rng, 2, 2)
     with pytest.raises(ValueError):
         substitute(spec, {99: 1, 3: 0})
+    for bits in ([1], [1, 0, 1]):
+        with pytest.raises(ValueError):
+            substitute(spec, bits)
 
 
 # ---------------------------------------------------------------------------

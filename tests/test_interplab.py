@@ -15,6 +15,7 @@ from skolemkit.interplab import (InterpolationInapplicableError,
                                  relabel_axioms, resolve_clauses,
                                  slivovsky_synth, solve_with_proof)
 from skolemkit.oracle import Oracle
+from skolemkit.verify import verify_skolem
 
 
 def brute_sat(cnf, fixed=None):
@@ -207,6 +208,17 @@ def test_slivovsky_functional_spec():
     vec, sizes = slivovsky_synth(spec)
     assert vec.eval([0]) == [0] and vec.eval([1]) == [1]
     assert set(sizes) == {1} and sizes[1] >= 0
+
+
+def test_slivovsky_two_outputs():
+    # y1 = x1 & x2, y2 = x1 ^ y1: bit 1's sides bind Y_2 to its circuit
+    b = Builder()
+    x1, x2, y1, y2 = (b.inp(v) for v in (1, 2, 3, 4))
+    spec = Specification([1, 2], [3, 4], b.extract([b.and_(
+        b.xnor_(y1, b.and_(x1, x2)), b.xnor_(y2, b.xor_(x1, y1)))]))
+    vec, sizes = slivovsky_synth(spec)
+    assert set(sizes) == {1, 2}
+    assert verify_skolem(spec, vec).is_valid
 
 
 def test_slivovsky_bphp31():

@@ -492,3 +492,14 @@ def test_auto_mixed_path():
         b.extract([b.xnor_(b.inp(1), b.inp(2))]))
     vec = synth_auto(spec, Oracle(), {"lex_limit": 0, "seed": 5})
     assert verify_skolem(spec, vec).is_valid
+
+
+def test_auto_learned_bit_between_free_bits():
+    # y2 unique (equals x1) between free y1 and y3: the residual spec
+    # keeps Y_1 and Y_3 as inputs around the learned circuit
+    b = Builder()
+    spec = Specification([1], [2, 3, 4],
+                         b.extract([b.xnor_(b.inp(1), b.inp(3))]))
+    vec = synth_auto(spec, Oracle(), {"lex_limit": 0, "seed": 5})
+    assert verify_skolem(spec, vec).is_valid
+    assert [vec.eval([x])[1] for x in (0, 1)] == [0, 1]
