@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .circuits import Builder, Circuit, SkolemVector
+from .circuits import Builder, SkolemVector
 from .cnf import Cnf
 from .formula import Specification
 from .interplab import InterpolationInstance

@@ -1,4 +1,4 @@
-"""Fan-in-2 gate DAGs over the basis {CONST, NOT, AND, OR, XOR}.
+"""Fan-in-2 gate DAGs over the basis {IN, CONST, NOT, AND, OR}.
 
 Gates are stored as tuples in topological order:
 
@@ -7,11 +7,10 @@ Gates are stored as tuples in topological order:
     ("not", a)
     ("and", a, b)
     ("or", a, b)
-    ("xor", a, b)
 
 where a, b are indices of earlier gates.  The Builder hash-conses and
-constant-folds; by default it lowers XOR to AND/OR/NOT at construction so
-that downstream CNF encodings stay within 3 clauses per gate.
+constant-folds; XOR enters a circuit only through ``Builder.xor_``, which
+lowers it to AND/OR/NOT, so CNF encodings take 3 clauses per AND/OR gate.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from __future__ import annotations
 class Builder:
     """Hash-consing circuit builder with light constant folding."""
 
-    def __init__(self, lower_xor: bool = True):
+    def __init__(self):
         self.gates: list[tuple] = []
         self._cache: dict[tuple, int] = {}
-        self._lower_xor = lower_xor
 
     def _mk(self, key: tuple) -> int:
         g = self._cache.get(key)
@@ -66,7 +64,7 @@ class Builder:
                 return a
             if self.gates[b] == ("not", a) or self.gates[a] == ("not", b):
                 return self.const(0)
-        elif op == "or":
+        else:  # or
             if ca == 1 or cb == 1:
                 return self.const(1)
             if ca == 0:
@@ -75,21 +73,6 @@ class Builder:
                 return a
             if a == b:
                 return a
-            if self.gates[b] == ("not", a) or self.gates[a] == ("not", b):
-                return self.const(1)
-        elif op == "xor":
-            if a == b:
-                return self.const(0)
-            if ca is not None and cb is not None:
-                return self.const(ca ^ cb)
-            if ca == 0:
-                return b
-            if cb == 0:
-                return a
-            if ca == 1:
-                return self.not_(b)
-            if cb == 1:
-                return self.not_(a)
             if self.gates[b] == ("not", a) or self.gates[a] == ("not", b):
                 return self.const(1)
         return self._mk((op, a, b))
@@ -101,10 +84,8 @@ class Builder:
         return self._binop("or", a, b)
 
     def xor_(self, a: int, b: int) -> int:
-        if self._lower_xor:
-            # a^b == (a|b) & ~(a&b); NOT is free in the clausal encoding
-            return self.and_(self.or_(a, b), self.not_(self.and_(a, b)))
-        return self._binop("xor", a, b)
+        # a^b == (a|b) & ~(a&b); NOT is free in the clausal encoding
+        return self.and_(self.or_(a, b), self.not_(self.and_(a, b)))
 
     def xnor_(self, a: int, b: int) -> int:
         return self.not_(self.xor_(a, b))
@@ -174,34 +155,36 @@ class Builder:
 
     def extract(self, outputs) -> "Circuit":
         """Garbage-collect to the cone of ``outputs`` and freeze."""
-        outputs = list(outputs)
-        keep: list[int] = []
-        seen = set()
-        stack = list(outputs)
-        while stack:
-            g = stack.pop()
-            if g in seen:
-                continue
+        return _cone(self.gates, outputs)
+
+
+def _cone(gates, outputs) -> "Circuit":
+    """The gates that ``outputs`` read, renumbered in their order."""
+    outputs = list(outputs)
+    seen = set()
+    stack = list(outputs)
+    while stack:
+        g = stack.pop()
+        if g not in seen:
             seen.add(g)
-            keep.append(g)
-            gate = self.gates[g]
-            if gate[0] in ("not",):
-                stack.append(gate[1])
-            elif gate[0] in ("and", "or", "xor"):
-                stack.append(gate[1])
-                stack.append(gate[2])
-        keep.sort()
-        remap = {old: new for new, old in enumerate(keep)}
-        gates = []
-        for old in keep:
-            gate = self.gates[old]
-            if gate[0] in ("in", "const"):
-                gates.append(gate)
-            elif gate[0] == "not":
-                gates.append(("not", remap[gate[1]]))
-            else:
-                gates.append((gate[0], remap[gate[1]], remap[gate[2]]))
-        return Circuit(tuple(gates), tuple(remap[o] for o in outputs))
+            gate = gates[g]
+            if gate[0] not in ("in", "const"):
+                stack.extend(gate[1:])
+    keep = sorted(seen)
+    remap = {old: new for new, old in enumerate(keep)}
+    cut = []
+    for old in keep:
+        gate = gates[old]
+        if gate[0] in ("in", "const"):
+            cut.append(gate)
+        elif gate[0] == "not":
+            cut.append(("not", remap[gate[1]]))
+        else:
+            cut.append((gate[0], remap[gate[1]], remap[gate[2]]))
+    return Circuit(tuple(cut), tuple(remap[o] for o in outputs))
+
+
+BASIS = frozenset(("in", "const", "not", "and", "or"))
 
 
 class Circuit:
@@ -210,6 +193,9 @@ class Circuit:
     def __init__(self, gates: tuple, outputs: tuple):
         self.gates = tuple(gates)
         self.outputs = tuple(outputs)
+        bad = {g[0] for g in self.gates} - BASIS
+        if bad:
+            raise ValueError(f"gate ops {bad} are outside the basis")
 
     @property
     def size(self) -> int:
@@ -248,10 +234,8 @@ class Circuit:
                 vals[idx] = vals[gate[1]] ^ mask
             elif op == "and":
                 vals[idx] = vals[gate[1]] & vals[gate[2]]
-            elif op == "or":
-                vals[idx] = vals[gate[1]] | vals[gate[2]]
             else:
-                vals[idx] = vals[gate[1]] ^ vals[gate[2]]
+                vals[idx] = vals[gate[1]] | vals[gate[2]]
         return tuple(vals[o] for o in self.outputs)
 
 
@@ -324,9 +308,7 @@ class SkolemVector:
 
     def psi(self, i: int) -> Circuit:
         """The circuit for output i (1-based), as its own cone."""
-        b = Builder()
-        got = b.import_circuit(self.arena, lambda name: b.inp(name))
-        return b.extract([got[i - 1]])
+        return _cone(self.arena.gates, [self.arena.outputs[i - 1]])
 
     def flatten(self) -> Circuit:
         """The vector as one circuit over ("x", i) names only, m outputs.

@@ -1,8 +1,9 @@
 """CNF containers, the Tseitin transformation, and XOR parity encoding.
 
 Clauses are lists of nonzero DIMACS-style integer literals.  The Tseitin
-encoding maps every gate to a *literal* rather than a variable, so NOT
-gates cost no clauses and AND/OR gates cost at most 3 clauses each.
+encoding maps every gate of the basis {IN, CONST, NOT, AND, OR} to a
+*literal* rather than a variable, so NOT gates cost no clauses and each
+AND/OR gate costs 3 clauses.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
 
     ``input_var(name)`` maps every input name to an existing CNF variable.
     When ``assert_outputs`` is True (or a list of polarities), a unit
-    clause fixes each output accordingly.  Adds at most 3 clauses per
-    AND/OR gate (4 per raw XOR), NOT and CONST gates are free.
+    clause fixes each output accordingly.  Adds 3 clauses per AND/OR
+    gate; NOT and CONST gates are free.
     """
     if cnf is None:
         cnf = Cnf()
@@ -91,15 +92,10 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
                 cnf.add([-g, a])
                 cnf.add([-g, b])
                 cnf.add([g, -a, -b])
-            elif op == "or":
+            else:  # or
                 cnf.add([g, -a])
                 cnf.add([g, -b])
                 cnf.add([-g, a, b])
-            else:  # raw xor
-                cnf.add([-g, a, b])
-                cnf.add([-g, -a, -b])
-                cnf.add([g, -a, b])
-                cnf.add([g, a, -b])
             lits[idx] = g
 
     out_lits = [lits[o] for o in circuit.outputs]

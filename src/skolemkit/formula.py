@@ -383,7 +383,7 @@ def _emit_gatelist(vec: SkolemVector) -> str:
 
 
 def parse_skolem(text: str) -> SkolemVector:
-    b = Builder(lower_xor=False)
+    b = Builder()
     gates: dict[int, int] = {}
     outputs: dict[int, int] = {}
     m = n = None
@@ -458,7 +458,7 @@ def parse_skolem(text: str) -> SkolemVector:
 
 
 # ---------------------------------------------------------------------------
-# ASCII AIGER export (XOR/OR lowered to AND/NOT)
+# ASCII AIGER export (OR lowered to AND/NOT)
 
 def emit_aiger(vec: SkolemVector) -> str:
     flat = vec.flatten()
@@ -483,11 +483,8 @@ def emit_aiger(vec: SkolemVector) -> str:
             lit[idx] = lit[gate[1]] ^ 1
         elif op == "and":
             lit[idx] = and_lit(lit[gate[1]], lit[gate[2]])
-        elif op == "or":
+        else:  # or
             lit[idx] = and_lit(lit[gate[1]] ^ 1, lit[gate[2]] ^ 1) ^ 1
-        else:  # xor: a^b = NOT(AND(NOT(AND(a,¬b)), NOT(AND(¬a,b))))
-            a, c = lit[gate[1]], lit[gate[2]]
-            lit[idx] = and_lit(and_lit(a, c ^ 1) ^ 1, and_lit(a ^ 1, c) ^ 1) ^ 1
     out_lits = [lit[o] for o in flat.outputs]
     lines = [f"aag {next_var[0]} {vec.n} 0 {vec.m} {len(ands)}"]
     lines += [str(2 * i) for i in range(1, vec.n + 1)]
@@ -526,7 +523,7 @@ def parse_aiger(text: str) -> SkolemVector:
                 for i in range(no)]
     ands = [ints(body[ni + no + i].split(), 3, "and gate")
             for i in range(na)]
-    b = Builder(lower_xor=False)
+    b = Builder()
     gate_of = {0: b.const(0), 1: b.const(1)}
     for pos, l in enumerate(in_lits, start=1):
         gate_of[l] = b.inp(("x", pos))

@@ -123,9 +123,7 @@ class Solver:
         if _learned:
             # caller guarantees clause[0] is the asserting literal and
             # clause[1] has the backjump level
-            if len(clause) == 1:
-                self.pending_units.append((clause[0], cl))
-            else:
+            if len(clause) > 1:
                 self._watch(cl, clause[0], clause[1])
             return cl
         self._backjump(0)
@@ -372,9 +370,6 @@ class Solver:
                 cl = self.add_clause(learned, _learned=True, _chain=chain)
                 if self.unsat:
                     return False
-                if len(cl.lits) == 1:
-                    self.pending_units = [
-                        (l, c) for (l, c) in self.pending_units if c is not cl]
                 self._enqueue(learned[0], cl)
                 if conflict_budget >= 100 * luby(restarts):
                     restarts += 1

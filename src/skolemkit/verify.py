@@ -8,7 +8,7 @@ witnessing good Y.
 
 from __future__ import annotations
 
-from .circuits import Builder, SkolemVector
+from .circuits import SkolemVector
 from .cnf import Cnf, tseitin
 from .formula import Specification
 from .oracle import Oracle

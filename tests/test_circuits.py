@@ -85,6 +85,11 @@ def test_eval_masks_matches_pointwise():
             assert (masks >> v) & 1 == c.eval(assign)[0]
 
 
+def test_circuit_rejects_ops_outside_the_basis():
+    with pytest.raises(ValueError):
+        Circuit((("in", "a"), ("in", "b"), ("xor", 0, 1)), (2,))
+
+
 def test_missing_input_raises():
     b = Builder()
     c = b.extract([b.inp("x")])
@@ -142,3 +147,29 @@ def test_vector_eval_masks():
         out = vec.eval(x)
         assert (m1 >> v) & 1 == out[0]
         assert (m2 >> v) & 1 == out[1]
+
+
+def test_psi_matches_cone_of_full_import():
+    rng = random.Random(29)
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        b = Builder()
+        outs = []
+        for i in range(1, m + 1):
+            pool = [b.inp(("x", j)) for j in range(1, n + 1)]
+            pool += [b.inp(("y", j)) for j in range(1, i)]
+            for _ in range(rng.randint(0, 8)):
+                op = rng.choice(["and_", "or_", "xor_", "not_"])
+                if op == "not_":
+                    pool.append(b.not_(rng.choice(pool)))
+                else:
+                    pool.append(getattr(b, op)(rng.choice(pool),
+                                               rng.choice(pool)))
+            outs.append(pool[-1])
+        vec = SkolemVector(n, b.extract(outs))
+        for i in range(1, m + 1):
+            ref = Builder()
+            got = ref.import_circuit(vec.arena, ref.inp)
+            want = ref.extract([got[i - 1]])
+            psi = vec.psi(i)
+            assert (psi.gates, psi.outputs) == (want.gates, want.outputs)

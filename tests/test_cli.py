@@ -50,6 +50,17 @@ def test_verify_counterexample_exit_10(tmp_path, spec_file, capsys):
     assert "v1 = " in err and "v2 = " in err
 
 
+def test_verify_gate_list_with_xor_lines(tmp_path):
+    # y1 = x1 ^ x2 and y2 = ~x2, read from XOR lines
+    spec = tmp_path / "xor.qdimacs"
+    spec.write_text("p cnf 4 6\na 1 2 0\ne 3 4 0\n-3 1 2 0\n-3 -1 -2 0\n"
+                    "3 -1 2 0\n3 1 -2 0\n4 2 0\n-4 -2 0\n")
+    vec = tmp_path / "xor.skolem"
+    vec.write_text("skolem 2 2\ng1 = XOR(x1, x2)\ng2 = NOT(x1)\n"
+                   "g3 = XOR(y1, g2)\ny1 := g1\ny2 := g3\n")
+    assert main(["verify", str(spec), str(vec)]) == 0
+
+
 def test_synth_strategies_all_valid(tmp_path, spec_file):
     for strat in ("lex", "cover", "unique", "auto"):
         out = tmp_path / f"{strat}.skolem"

@@ -224,6 +224,23 @@ def test_aiger_round_trip():
             assert back.eval(x) == vec.eval(x)
 
 
+XOR_GATE_LIST = """skolem 2 2
+g1 = XOR(x1, x2)
+g2 = NOT(x1)
+g3 = XOR(y1, g2)
+y1 := g1
+y2 := g3
+"""
+
+
+def test_parse_skolem_lowers_xor_lines():
+    vec = parse_skolem(XOR_GATE_LIST)
+    assert all(g[0] != "xor" for g in vec.arena.gates)
+    for x1, x2 in itertools.product((0, 1), repeat=2):
+        assert vec.eval([x1, x2]) == [x1 ^ x2, 1 - x2]
+    assert "XOR" not in emit_skolem(vec)
+
+
 def test_parse_skolem_rejects_cyclic():
     text = "skolem 1 1\ny1 := y1\n"
     with pytest.raises((ParseError, ValueError)):

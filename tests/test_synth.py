@@ -5,7 +5,7 @@ import pytest
 
 import skolemkit.synth as synth_mod
 from skolemkit.benchgen import gen_factor, gen_planted_cover
-from skolemkit.circuits import Builder, input_masks
+from skolemkit.circuits import Builder, SkolemVector, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle
 from skolemkit.solver import Solver
@@ -122,7 +122,7 @@ def test_selector_gate_for_gate_on_random_specs():
 def test_selector_gate_for_gate_corner_cases():
     b = Builder()
     x1, x2, y1, y2 = (b.inp(v) for v in (1, 2, 3, 4))
-    nb = Builder(lower_xor=False)
+    nb = Builder()
     raw_xor = nb.and_(nb.inp(1), nb.xor_(nb.inp(3), nb.inp(4)))
     matrices = [b.extract([b.and_(x1, x2)]),               # reads no Y
                 b.extract([b.xor_(y1, y2)]),               # Y-only output
@@ -148,6 +148,21 @@ def test_lex_binop_count_pinned(monkeypatch):
     monkeypatch.setattr(Builder, "_binop", counted)
     synth_lex(gen_factor(5))
     assert len(calls) <= 50_000
+
+
+def test_lex_flatten_import_pinned(monkeypatch):
+    # each output's cone once: about 1,760; the arena once per output
+    # and then each cone: about 6,600
+    vec = synth_lex(gen_factor(5))
+    imported = []
+    imp = Builder.import_circuit
+
+    def counted(self, circuit, resolve):
+        imported.append(len(circuit.gates))
+        return imp(self, circuit, resolve)
+    monkeypatch.setattr(Builder, "import_circuit", counted)
+    SkolemVector(vec.n, vec.arena).flatten()
+    assert sum(imported) <= 1_800
 
 
 # ---------------------------------------------------------------------------
