@@ -9,7 +9,13 @@ Both rest on one primitive, _NestedCells: one sequence of random XOR
 rows over the projection, entered as parity literals on one incremental
 query, so its cells are nested (cell L+1 lies inside cell L) and each
 level's solves only assume the literals of its rows.  Every projected
-model found is kept and blocked, so no model is found twice.
+model found is kept and blocked, so no model is found twice.  Counting
+trials enter each row reduced by Gauss-Jordan elimination against the
+rows before it: the same cells, cut by shorter parity chains.  Sampling
+and enumeration enter the drawn rows, because the solver's default phase
+(False) picks the low-weight model of a reduced cell, and reduced
+sampling cells drew the all-zero point of a free 6-variable space 40
+times in 600 samples, against about 9 for a uniform draw.
 
 Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  One
 row sequence per trial serves every level.  The trial's level is the
@@ -247,31 +253,55 @@ class _NestedCells:
     bit mask over proj, so a level's count is the kept models that pass
     its rows (a parity check, no solve) plus the new models its solves
     find.
+
+    With reduce_rows, each drawn row is first reduced by Gauss-Jordan
+    elimination against the reduced rows before it, which `reduced` keeps
+    in reduced row-echelon form, each with its lowest bit as pivot.  The
+    reduced row spans the same prefix space as the drawn one, so every
+    cell is the same, but its chain reads fewer variables and a dependent
+    row adds none.  Counting trials reduce; sampling and enumeration
+    encode the drawn rows, whose first model in a cell is closer to
+    uniform (see the module docstring).  `rows` always holds the drawn
+    rows, which the kept models are filtered by.
     """
 
-    def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle):
+    def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle,
+                 reduce_rows: bool = False):
         self.proj = proj
         self.rng = rng
         self.oracle = oracle
         self.work = cnf.copy()      # the query without its blocking clauses
         self.query = oracle._open(self.work)
-        self.rows = []              # (mask over proj, parity)
+        self.rows = []              # drawn (mask over proj, parity)
+        self.reduced = [] if reduce_rows else None  # (mask, parity) in RREF
         self.assumptions = []       # per row; None for a row without variables
         self.kept = []              # projected models found, as masks
         self.complete = float("inf")  # smallest level whose cell is all kept
 
     def _draw_row(self):
-        picks = [i for i in range(len(self.proj)) if self.rng.getrandbits(1)]
+        mask = sum(self.rng.getrandbits(1) << i
+                   for i in range(len(self.proj)))
         parity = self.rng.getrandbits(1)
-        self.rows.append((sum(1 << i for i in picks), parity))
-        if not picks:
+        self.rows.append((mask, parity))
+        if self.reduced is not None:
+            for m, p in self.reduced:
+                if mask & m & -m:
+                    mask ^= m
+                    parity ^= p
+            pivot = mask & -mask
+            self.reduced = [(m ^ mask, p ^ parity) if m & pivot else (m, p)
+                            for m, p in self.reduced]
+            if mask:
+                self.reduced.append((mask, parity))
+        if not mask:
             # parity 0 holds everywhere; parity 1 empties the cell
             self.assumptions.append(None)
             if parity:
                 self.complete = min(self.complete, len(self.rows))
             return
         n0 = len(self.work.clauses)
-        lit = xor_literal(self.work, [self.proj[i] for i in picks])
+        lit = xor_literal(self.work, [v for i, v in enumerate(self.proj)
+                                      if mask >> i & 1])
         for clause in self.work.clauses[n0:]:
             self.query.add_clause(clause)
         self.assumptions.append(lit if parity else -lit)
@@ -349,12 +379,13 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     saturated cell's count x 2^level.
 
     Trial t hashes with rows from labeled_rng(seed, f"count/{t}") on its
-    own _NestedCells query, and saturates at the smallest level whose cell
-    holds at most PIVOT models, searched from the previous trial's level
-    (level_hint for the first).  Level 0 returns the exact count at once,
-    so the count is exact when it is at most PIVOT, and 0 only when the
-    unhashed query is unsat.  An empty cell above level 0 counts as the
-    level below, which overflowed.  hash_bits is the last trial's level.
+    own _NestedCells query, which encodes them reduced, and saturates at
+    the smallest level whose cell holds at most PIVOT models, searched
+    from the previous trial's level (level_hint for the first).  Level 0
+    returns the exact count at once, so the count is exact when it is at
+    most PIVOT, and 0 only when the unhashed query is unsat.  An empty
+    cell above level 0 counts as the level below, which overflowed.
+    hash_bits is the last trial's level.
     """
     if epsilon_trials < 1:
         raise ValueError(f"counting needs at least 1 trial, got "
@@ -365,7 +396,7 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     ests = []
     for t in range(epsilon_trials):
         cells = _NestedCells(cnf, proj, labeled_rng(seed, f"count/{t}"),
-                             oracle)
+                             oracle, reduce_rows=True)
         level = cells.saturation_level(level)
         n = cells.count(level)
         if level == 0:

@@ -193,23 +193,88 @@ def test_count_exact_up_to_pivot_from_any_hint():
         checked += 1
 
 
+def cell_of(points, rows):
+    """The points that satisfy every (mask, parity) row."""
+    return [m for m in points
+            if all(sum(b for i, b in enumerate(m) if mask >> i & 1) % 2 == p
+                   for mask, p in rows)]
+
+
 def test_nested_cell_counts_match_brute_force(monkeypatch):
     # levels probed in any order, deeper or shallower than the last, count
-    # min(|cell|, PIVOT + 1) of the cell cut by the trial's first rows
+    # min(|cell|, PIVOT + 1) of the cell cut by the trial's first drawn
+    # rows, whether the rows enter the query as drawn or reduced
     monkeypatch.setattr(oracle_mod, "PIVOT", 5)
-    rng = random.Random(47)
-    for t in range(30):
-        cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
-        proj = list(range(1, cnf.nvars + 1))
-        models = projected_models(cnf, proj)
-        cells = oracle_mod._NestedCells(cnf, proj, labeled_rng(t, "cells"),
-                                        Oracle())
-        for level in [rng.randint(0, len(proj)) for _ in range(8)]:
-            got = cells.count(level)
-            cell = [m for m in models
-                    if all(sum(b for i, b in enumerate(m) if mask >> i & 1)
-                           % 2 == p for mask, p in cells.rows[:level])]
-            assert got == min(len(cell), 6)
+    for reduce_rows in (False, True):
+        rng = random.Random(47)
+        for t in range(30):
+            cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
+            proj = list(range(1, cnf.nvars + 1))
+            models = projected_models(cnf, proj)
+            cells = oracle_mod._NestedCells(cnf, proj, labeled_rng(t, "cells"),
+                                            Oracle(), reduce_rows=reduce_rows)
+            for level in [rng.randint(0, len(proj)) for _ in range(8)]:
+                got = cells.count(level)
+                cell = cell_of(models, cells.rows[:level])
+                assert got == min(len(cell), 6)
+            if reduce_rows:
+                # reduced row-echelon form: distinct pivots, each in one row
+                pivots = [m & -m for m, _ in cells.reduced]
+                assert all(pivots) and len(set(pivots)) == len(pivots)
+                for m, _ in cells.reduced:
+                    assert [p for p in pivots if m & p] == [m & -m]
+
+
+def test_dependent_rows_add_no_assumption_or_empty_the_cell():
+    # 3 projected variables drawn to 12 levels: past the rows' rank each
+    # reduced row is zero; parity 0 adds no assumption and keeps the cell,
+    # parity 1 empties the cell and its level is answered without a solve
+    points = list(itertools.product((0, 1), repeat=3))
+    seen = set()
+    for t in range(20):
+        for level in range(1, 13):
+            o = Oracle()
+            cells = oracle_mod._NestedCells(Cnf(3), [1, 2, 3],
+                                            labeled_rng(t, "dependent"), o,
+                                            reduce_rows=True)
+            model = cells.solve(level)
+            assert sum(a is not None for a in cells.assumptions) <= 3
+            if cells.assumptions[level - 1] is not None:
+                continue
+            cell = cell_of(points, cells.rows[:level])
+            enclosing = cell_of(points, cells.rows[:level - 1])
+            if cell:
+                assert cell == enclosing and o.calls == 1
+                assert tuple(model[v] for v in (1, 2, 3)) in cell
+                seen.add(0)
+            elif enclosing:
+                assert model is None and o.calls == 0
+                assert cells.complete == level
+                seen.add(1)
+    assert seen == {0, 1}
+
+
+def test_reduced_rows_keep_every_estimate(monkeypatch):
+    # reduction changes how each row is encoded, not which cells the rows
+    # cut, so counting with the drawn rows gives the same estimates
+    monkeypatch.setattr(oracle_mod, "PIVOT", 3)
+    rng = random.Random(59)
+    cnfs = [random_cnf(rng, rng.randint(4, 9), factor=0.6)
+            for _ in range(40)]
+
+    def estimates():
+        ests = [approx_count_projected(cnf, range(1, cnf.nvars + 1),
+                                       epsilon_trials=3, seed=seed)
+                for seed, cnf in enumerate(cnfs)]
+        return [(e.estimate, e.hash_bits, e.trials) for e in ests]
+    reduced = estimates()
+    plain = oracle_mod._NestedCells
+    monkeypatch.setattr(
+        oracle_mod, "_NestedCells",
+        lambda cnf, proj, rng, oracle, reduce_rows=False:
+            plain(cnf, proj, rng, oracle))
+    assert estimates() == reduced
+    assert sum(hash_bits > 0 for _, hash_bits, _ in reduced) >= 20
 
 
 def test_count_single_model():
