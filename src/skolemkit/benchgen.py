@@ -88,7 +88,7 @@ def gen_bphp(p: BphpParams) -> Specification:
     x_vars = [p.xvar(i, j) for i in range(1, p.k + 1)
               for j in range(1, p.m + 1)]
     y_vars = [p.yvar(j) for j in range(1, p.m + 1)]
-    return Specification(x_vars, y_vars, matrix, source_format="bphp")
+    return Specification(x_vars, y_vars, matrix)
 
 
 def bphp_lexfirst_skolem(p: BphpParams) -> SkolemVector:
@@ -218,8 +218,7 @@ def gen_trap(p: TrapParams):
     out = b.or_(b.and_(eq_s, eq_c), b.and_(b.not_(eq_s), eq_h))
     matrix = b.extract([out])
     spec = Specification(list(range(1, n + 1)),
-                         list(range(n + 1, n + 1 + p.m)), matrix,
-                         source_format="trap")
+                         list(range(n + 1, n + 1 + p.m)), matrix)
     gb = Builder()
     gx = [gb.inp(("x", i + 1)) for i in range(n)]
     gouts = [gb.const(s_bits[j]) for j in range(half)]
@@ -317,8 +316,7 @@ def gen_factor(bits: int) -> Specification:
     out = b.and_many([eq, not_one(a_), not_one(c_)])
     matrix = b.extract([out])
     return Specification(list(range(1, bits + 1)),
-                         list(range(bits + 1, 3 * bits + 1)), matrix,
-                         source_format="factor")
+                         list(range(bits + 1, 3 * bits + 1)), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +351,5 @@ def gen_planted_cover(n: int, m: int, k: int, seed=0):
         cells.append(b.and_(inpref, eq))
     matrix = b.extract([b.or_many(cells)])
     spec = Specification(list(range(1, n + 1)),
-                         list(range(n + 1, n + m + 1)), matrix,
-                         source_format="planted")
+                         list(range(n + 1, n + m + 1)), matrix)
     return spec, targets

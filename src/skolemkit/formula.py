@@ -23,7 +23,7 @@ class ParseError(ValueError):
 class Specification:
     """A relational formula over input variables X and output variables Y."""
 
-    def __init__(self, x_vars, y_vars, matrix: Circuit, source_format="built"):
+    def __init__(self, x_vars, y_vars, matrix: Circuit):
         self.x_vars = list(x_vars)
         self.y_vars = list(y_vars)
         if set(self.x_vars) & set(self.y_vars):
@@ -33,7 +33,6 @@ class Specification:
             if name not in declared:
                 raise ValueError(f"matrix reads undeclared variable {name}")
         self.matrix = matrix
-        self.source_format = source_format
         self._enc = None
 
     @property
@@ -197,7 +196,6 @@ def parse_spec(text: str) -> Specification:
             aux = [v for v in ys if v not in set(ann_out)]
             ys = list(ann_out)
     elif ann_in or ann_out:
-        fmt = "dimacs-annotated"
         xs, ys = ann_in, ann_out
     else:
         raise ParseError("no quantifier blocks or input/output annotations",
@@ -216,7 +214,7 @@ def parse_spec(text: str) -> Specification:
                                  "in any block", lineno)
     matrix = _reconstruct_matrix(xs, ys, aux,
                                  [lits for _, lits in clauses])
-    return Specification(xs, ys, matrix, source_format=fmt)
+    return Specification(xs, ys, matrix)
 
 
 def _match_gate_def(g: int, group):
@@ -412,6 +410,8 @@ def parse_skolem(text: str) -> SkolemVector:
         if toks[0] == "skolem":
             if len(toks) != 3 or not (toks[1].isdigit() and toks[2].isdigit()):
                 raise ParseError("malformed skolem header", lineno)
+            if m is not None:
+                raise ParseError("second skolem header", lineno)
             m, n = int(toks[1]), int(toks[2])
             continue
         if m is None:
@@ -423,6 +423,8 @@ def parse_skolem(text: str) -> SkolemVector:
             idx = int(lhs[1:])
             if not (1 <= idx <= m):
                 raise ParseError(f"output y{idx} out of range", lineno)
+            if idx in outputs:
+                raise ParseError(f"output y{idx} defined twice", lineno)
             outputs[idx] = resolve(_arg_name(rhs, lineno))
             continue
         if "=" not in line:
@@ -431,6 +433,8 @@ def parse_skolem(text: str) -> SkolemVector:
         if not (lhs.startswith("g") and lhs[1:].isdigit()):
             raise ParseError(f"bad gate name {lhs!r}", lineno)
         gid = int(lhs[1:])
+        if gid in gates:
+            raise ParseError(f"gate g{gid} defined twice", lineno)
         if "(" not in rhs or not rhs.endswith(")"):
             raise ParseError("malformed gate expression", lineno)
         op, argstr = rhs[:-1].split("(", 1)
@@ -525,9 +529,16 @@ def parse_aiger(text: str) -> SkolemVector:
             for i in range(na)]
     b = Builder()
     gate_of = {0: b.const(0), 1: b.const(1)}
+
+    def define(l, g, what):
+        if l & 1 or l in gate_of:
+            raise ParseError(f"{what} literal {l} is odd, a constant or "
+                             "already defined")
+        gate_of[l] = g
+        gate_of[l ^ 1] = b.not_(g)
+
     for pos, l in enumerate(in_lits, start=1):
-        gate_of[l] = b.inp(("x", pos))
-        gate_of[l ^ 1] = b.not_(gate_of[l])
+        define(l, b.inp(("x", pos)), "input")
 
     def get(l):
         if l not in gate_of:
@@ -538,6 +549,5 @@ def parse_aiger(text: str) -> SkolemVector:
         return gate_of[l]
 
     for lhs, r0, r1 in ands:
-        gate_of[lhs] = b.and_(get(r0), get(r1))
-        gate_of[lhs ^ 1] = b.not_(gate_of[lhs])
+        define(lhs, b.and_(get(r0), get(r1)), "and gate")
     return SkolemVector(ni, b.extract([get(l) for l in out_lits]))

@@ -366,16 +366,14 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
     ("refuted", ResolutionProof) as soon as the empty clause appears, or
     ("saturated", None) at fixpoint; complete for width-w refutability.
     """
-    seen = set()
-    parents = {}  # clause -> None (axiom) or (left, right, pivot)
+    parents = {}  # each clause kept -> None (axiom) or (left, right, pivot)
     counter = itertools.count()  # heap tie-breaker
     queue = []
     for c in cnf.clauses:
         cl = tuple(sorted(set(c)))
         if any(-l in cl for l in cl):
             continue
-        if cl not in seen:
-            seen.add(cl)
+        if cl not in parents:
             parents[cl] = None
             heapq.heappush(queue, (len(cl), next(counter), cl))
 
@@ -398,7 +396,7 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
         build(goal)
         return proof
 
-    if () in seen:
+    if () in parents:
         return "refuted", reconstruct(())
     by_lit = {}
 
@@ -421,14 +419,13 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
                 continue
             if len(res) > w and res != ():
                 continue
-            if res in seen:
+            if res in parents:
                 continue
-            seen.add(res)
             parents[res] = (cl, other, pivot)
             if res == ():
                 return "refuted", reconstruct(())
             heapq.heappush(queue, (len(res), next(counter), res))
-            if len(seen) > max_clauses:
+            if len(parents) > max_clauses:
                 raise WidthBudgetError(
                     f"saturation exceeded {max_clauses} clauses at width {w}")
     return "saturated", None

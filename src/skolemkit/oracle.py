@@ -9,13 +9,14 @@ Both rest on one primitive, _NestedCells: one sequence of random XOR
 rows over the projection, entered as parity literals on one incremental
 query, so its cells are nested (cell L+1 lies inside cell L) and each
 level's solves only assume the literals of its rows.  Every projected
-model found is kept and blocked, so no model is found twice.  Counting
-trials enter each row reduced by Gauss-Jordan elimination against the
-rows before it: the same cells, cut by shorter parity chains.  Sampling
-and enumeration enter the drawn rows, because the solver's default phase
-(False) picks the low-weight model of a reduced cell, and reduced
-sampling cells drew the all-zero point of a free 6-variable space 40
-times in 600 samples, against about 9 for a uniform draw.
+model found is kept and blocked, so no model is found twice.  Rows are
+stored as they were encoded.  Counting trials reduce each drawn row by
+Gaussian elimination against the encoded rows before it, in draw order:
+the same cells, cut by shorter parity chains.  Sampling and enumeration
+encode the drawn rows, because the solver's default phase (False) picks
+the low-weight model of a reduced cell, and reduced sampling cells drew
+the all-zero point of a free 6-variable space 40 times in 600 samples,
+against about 9 for a uniform draw.
 
 Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  One
 row sequence per trial serves every level.  The trial's level is the
@@ -254,15 +255,15 @@ class _NestedCells:
     its rows (a parity check, no solve) plus the new models its solves
     find.
 
-    With reduce_rows, each drawn row is first reduced by Gauss-Jordan
-    elimination against the reduced rows before it, which `reduced` keeps
-    in reduced row-echelon form, each with its lowest bit as pivot.  The
-    reduced row spans the same prefix space as the drawn one, so every
-    cell is the same, but its chain reads fewer variables and a dependent
-    row adds none.  Counting trials reduce; sampling and enumeration
-    encode the drawn rows, whose first model in a cell is closer to
-    uniform (see the module docstring).  `rows` always holds the drawn
-    rows, which the kept models are filtered by.
+    `rows` holds each row as it was encoded, and the kept models are
+    filtered by it.  With reduce_rows, a drawn row is first reduced by
+    one pass of Gaussian elimination over the earlier rows in draw order,
+    each with its lowest bit as pivot: the result is 0 at every earlier
+    pivot.  Each prefix of rows then spans the same space as the drawn
+    prefix, so every cell is the same, but a chain reads fewer variables
+    and a dependent row adds none.  Counting trials reduce; sampling and
+    enumeration encode the drawn rows, whose first model in a cell is
+    closer to uniform (see the module docstring).
     """
 
     def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle,
@@ -272,8 +273,8 @@ class _NestedCells:
         self.oracle = oracle
         self.work = cnf.copy()      # the query without its blocking clauses
         self.query = oracle._open(self.work)
-        self.rows = []              # drawn (mask over proj, parity)
-        self.reduced = [] if reduce_rows else None  # (mask, parity) in RREF
+        self.reduce_rows = reduce_rows
+        self.rows = []              # encoded (mask over proj, parity)
         self.assumptions = []       # per row; None for a row without variables
         self.kept = []              # projected models found, as masks
         self.complete = float("inf")  # smallest level whose cell is all kept
@@ -282,17 +283,12 @@ class _NestedCells:
         mask = sum(self.rng.getrandbits(1) << i
                    for i in range(len(self.proj)))
         parity = self.rng.getrandbits(1)
-        self.rows.append((mask, parity))
-        if self.reduced is not None:
-            for m, p in self.reduced:
+        if self.reduce_rows:
+            for m, p in self.rows:
                 if mask & m & -m:
                     mask ^= m
                     parity ^= p
-            pivot = mask & -mask
-            self.reduced = [(m ^ mask, p ^ parity) if m & pivot else (m, p)
-                            for m, p in self.reduced]
-            if mask:
-                self.reduced.append((mask, parity))
+        self.rows.append((mask, parity))
         if not mask:
             # parity 0 holds everywhere; parity 1 empties the cell
             self.assumptions.append(None)

@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .circuits import (Builder, Circuit, SkolemVector, constant_vector,
-                       vector_from_circuits)
+from .circuits import Builder, Circuit, SkolemVector, vector_from_circuits
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
 from .oracle import (Oracle, approx_count_projected, labeled_rng,
@@ -75,14 +74,11 @@ def _lex_terms(spec: Specification, tuples):
     # the Y-only gates that a mixed gate or the output reads
     yonly = sorted({c for i in mixed for c in gates[i][1:] if reads[c] == 2}
                    | ({out} if reads[out] == 2 else set()))
-    width = len(tuples)
     assign = dict.fromkeys(spec.x_vars, 0)
     for k, v in enumerate(spec.y_vars):
-        assign[v] = int("".join("1" if bits[k] else "0"
-                                for bits in reversed(tuples)), 2)
-    # cols[k][j] is "1" iff gate yonly[k] holds under tuple j
-    cols = [format(v, f"0{width}b")[::-1] for v in
-            Circuit(gates, yonly).eval_masks(assign, width=width)]
+        assign[v] = sum(bits[k] << j for j, bits in enumerate(tuples))
+    # bit j of cols[k] is the value of gate yonly[k] under tuple j
+    cols = Circuit(gates, yonly).eval_masks(assign, width=len(tuples))
 
     def resolve_for(bits):
         binding = dict(zip(spec.y_vars, bits))
@@ -103,7 +99,7 @@ def _lex_terms(spec: Specification, tuples):
                       range(len(gates)))
         else:
             for g, col in zip(yonly, cols):
-                remap[g] = one if col[j] == "1" else zero
+                remap[g] = one if col >> j & 1 else zero
             b.rebuild(spec.matrix, None, remap, mixed)
         fx = remap[out]
         terms.append(b.and_(fx, prefix))
@@ -159,10 +155,7 @@ class CoverSet:
 
 def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
     """Select the lexicographically first y in S' with F(x, y) = 1."""
-    tuples = sorted(cover.elements)
-    if not tuples:
-        return constant_vector(spec.n, [0] * spec.m)
-    return _selector_vector(spec, tuples)
+    return _selector_vector(spec, sorted(cover.elements))
 
 
 def synth_cover(spec: Specification, oracle: Oracle = None,

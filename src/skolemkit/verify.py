@@ -79,8 +79,9 @@ def check_unique(spec: Specification, i: int, z_vars,
                  oracle: Oracle = None) -> bool:
     """Is Y_i uniquely defined in terms of the variables Z?
 
-    Builds F(X,Y) & F(X^,Y^) & (Z = Z^) & (Y_i != Y^_i), the hatted copy
-    on fresh variables, and reports unsatisfiability.
+    Builds F(X,Y) & F(X^,Y^) & (Y_i != Y^_i), where the hatted copy reads
+    Z's own variables and fresh ones for the rest, and reports
+    unsatisfiability.
     """
     z_vars = list(z_vars)
     yi = spec.y_vars[i - 1]
@@ -90,11 +91,9 @@ def check_unique(spec: Specification, i: int, z_vars,
             raise ValueError(f"Z contains disallowed variable {z}")
     oracle = oracle or Oracle()
     cnf = spec.cnf.copy()
-    hat = {v: cnf.fresh() for v in spec.x_vars + spec.y_vars}
+    hat = {v: v if v in z_vars else cnf.fresh()
+           for v in spec.x_vars + spec.y_vars}
     tseitin(spec.matrix, lambda v: hat[v], cnf, assert_outputs=True)
-    for z in z_vars:
-        cnf.add([-z, hat[z]])
-        cnf.add([z, -hat[z]])
     cnf.add([yi, hat[yi]])
     cnf.add([-yi, -hat[yi]])
     return not oracle.solve(cnf).is_sat

@@ -122,6 +122,16 @@ def test_verify_malformed_vector_exit_64(tmp_path, spec_file, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_verify_redefining_aiger_exit_64(tmp_path, spec_file, capsys):
+    # both files read as y1 := x1, a valid vector, if redefinitions pass
+    for i, text in enumerate(["aag 1 1 0 1 0\n1\n1\n",
+                              "aag 2 1 0 1 1\n2\n3\n3 2 2\n"]):
+        path = tmp_path / f"redef{i}.aag"
+        path.write_text(text)
+        assert main(["verify", spec_file, str(path)]) == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_errors_exit_64(tmp_path, spec_file):
     with pytest.raises(SystemExit) as e:
         main(["synth", spec_file, "--strategy", "bogus"])

@@ -48,7 +48,6 @@ def random_vector(rng, n, m):
 def test_parse_qdimacs_minimal():
     s = parse_spec("p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n")
     assert s.x_vars == [1] and s.y_vars == [2]
-    assert s.source_format == "qdimacs"
     assert s.eval({1: 0, 2: 0}) == 0
     assert s.eval({1: 0, 2: 1}) == 1
 
@@ -57,7 +56,6 @@ def test_parse_annotated_equivalent():
     q = parse_spec("p cnf 3 2\na 1 2 0\ne 3 0\n1 3 0\n-2 -3 0\n")
     a = parse_spec("c inputs 1 2\nc outputs 3\np cnf 3 2\n"
                    "1 3 0\n-2 -3 0\n")
-    assert a.source_format == "dimacs-annotated"
     assert q.x_vars == a.x_vars and q.y_vars == a.y_vars
     assert q.sat_masks() == a.sat_masks()
 
@@ -222,6 +220,22 @@ def test_aiger_round_trip():
         for v in range(1 << n):
             x = [(v >> (n - 1 - i)) & 1 for i in range(n)]
             assert back.eval(x) == vec.eval(x)
+
+
+def test_parse_aiger_rejects_redefined_literals():
+    for text in ["aag 1 1 0 1 0\n1\n1\n",           # input literal 1
+                 "aag 2 1 0 1 1\n2\n3\n3 2 2\n",    # odd and-gate lhs
+                 "aag 3 2 0 1 0\n2\n2\n2\n"]:       # input given twice
+        with pytest.raises(ParseError):
+            parse_aiger(text)
+
+
+def test_parse_skolem_rejects_redefinitions():
+    for text in ["skolem 1 1\ng1 = NOT(x1)\ng1 = AND(x1, x1)\ny1 := g1\n",
+                 "skolem 1 1\ny1 := x1\ny1 := 0\n",
+                 "skolem 1 1\ny1 := x1\nskolem 2 2\ny2 := x2\n"]:
+        with pytest.raises(ParseError):
+            parse_skolem(text)
 
 
 XOR_GATE_LIST = """skolem 2 2

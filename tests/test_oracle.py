@@ -203,26 +203,28 @@ def cell_of(points, rows):
 def test_nested_cell_counts_match_brute_force(monkeypatch):
     # levels probed in any order, deeper or shallower than the last, count
     # min(|cell|, PIVOT + 1) of the cell cut by the trial's first drawn
-    # rows, whether the rows enter the query as drawn or reduced
+    # rows, whether the rows enter the query as drawn or reduced; the
+    # drawn rows are those of a twin session on the same labeled stream
     monkeypatch.setattr(oracle_mod, "PIVOT", 5)
-    for reduce_rows in (False, True):
-        rng = random.Random(47)
-        for t in range(30):
-            cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
-            proj = list(range(1, cnf.nvars + 1))
-            models = projected_models(cnf, proj)
-            cells = oracle_mod._NestedCells(cnf, proj, labeled_rng(t, "cells"),
-                                            Oracle(), reduce_rows=reduce_rows)
-            for level in [rng.randint(0, len(proj)) for _ in range(8)]:
-                got = cells.count(level)
-                cell = cell_of(models, cells.rows[:level])
-                assert got == min(len(cell), 6)
-            if reduce_rows:
-                # reduced row-echelon form: distinct pivots, each in one row
-                pivots = [m & -m for m, _ in cells.reduced]
-                assert all(pivots) and len(set(pivots)) == len(pivots)
-                for m, _ in cells.reduced:
-                    assert [p for p in pivots if m & p] == [m & -m]
+    rng = random.Random(47)
+    for t in range(30):
+        cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
+        proj = list(range(1, cnf.nvars + 1))
+        models = projected_models(cnf, proj)
+        drawn, cells = (oracle_mod._NestedCells(
+            cnf, proj, labeled_rng(t, "cells"), Oracle(), reduce_rows=r)
+            for r in (False, True))
+        for level in [rng.randint(0, len(proj)) for _ in range(8)]:
+            got = drawn.count(level), cells.count(level)
+            cell = cell_of(models, drawn.rows[:level])
+            assert got == (min(len(cell), 6),) * 2
+        # forward elimination: each nonzero encoded row is 0 at the pivots
+        # (lowest bits) of the rows before it, so the pivots are distinct
+        pivots = []
+        for m, _ in cells.rows:
+            assert not any(m & p for p in pivots)
+            if m:
+                pivots.append(m & -m)
 
 
 def test_dependent_rows_add_no_assumption_or_empty_the_cell():

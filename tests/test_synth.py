@@ -133,7 +133,8 @@ def test_selector_gate_for_gate_corner_cases():
     all_y = list(itertools.product((0, 1), repeat=2))
     for matrix in matrices:
         spec = Specification([1, 2], [3, 4], matrix)
-        for tuples in (all_y, [(0, 1)], [(1, 1)], [(1, 1), (0, 1), (1, 0)]):
+        for tuples in (all_y, [], [(0, 1)], [(1, 1)],
+                       [(1, 1), (0, 1), (1, 0)]):
             assert_selector_matches_reference(spec, tuples)
 
 
@@ -398,6 +399,30 @@ def test_pool_xor_tier_consistent(monkeypatch):
     assert len(pool) == 3
     for c in pool:
         assert c.eval({("x", 1): 1, ("x", 2): 1})[0] == 1
+
+
+def test_learner_xor_tier(monkeypatch):
+    # with no encoding small enough for the masks, the pool is drawn from
+    # XOR-hash cells of the bounded-circuit CNF
+    monkeypatch.setattr(synth_mod, "VECTOR_LIMIT", 0)
+    cases = [((0, 1), (0,)), ((1, 1), (1,)), ((1, 0), (1,))]
+    enc = encode_bounded_circuits(2, 1, 1, cases)
+    assert enc.masks is None
+    pool = sample_candidate_pool(enc, 6, Oracle(), seed=4)
+    assert len(pool) == 6
+    for c in pool:
+        for x, y in cases:
+            assert c.eval({("x", 1): x[0], ("x", 2): x[1]})[0] == y[0]
+    enc = encode_bounded_circuits(2, 1, 1, [((0, 1), (1,)), ((0, 1), (0,))])
+    with pytest.raises(InconsistentEncodingError):
+        sample_candidate_pool(enc, 2, Oracle(), seed=0)
+    b = Builder()
+    spec = Specification([1, 2], [3], b.extract(
+        [b.xnor_(b.inp(3), b.and_(b.inp(1), b.inp(2)))]))
+    for s in (1, 2):
+        h = synth_unique_bit(spec, 1, Oracle(), s0=s, max_s=s)
+        vec = SkolemVector(2, h)
+        assert verify_skolem(spec, vec).is_valid
 
 
 def test_majority_trivial_and_mixed():
