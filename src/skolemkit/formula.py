@@ -76,29 +76,17 @@ class Specification:
 def substitute(spec: Specification, binding, names=None) -> Circuit:
     """F with its outputs bound: the one composition of F's matrix.
 
-    ``binding`` is a SkolemVector (Y_j := psi_j), a dict var-id -> bit
-    over all of Y, or one entry per Y_j (Y_1 first): a bit, a Circuit
-    over ("x", i) and earlier ("y", j) names, or None to keep Y_j as an
+    ``binding`` has one entry per Y_j (Y_1 first): a bit, a Circuit over
+    ("x", i) and earlier ("y", j) names, or None to keep Y_j as an
     input.  ``names`` maps var ids to the result's input names (default:
     the id).  Inputs, constants and bound cones are made in Y order.
     """
+    if len(binding) != spec.m:
+        raise ValueError(f"binding has {len(binding)} entries for "
+                         f"{spec.m} outputs")
     names = names or {}
     b = Builder()
     xg = [b.inp(names.get(v, v)) for v in spec.x_vars]
-    if isinstance(binding, SkolemVector):
-        if binding.m != spec.m or binding.n != spec.n:
-            raise ValueError("Skolem vector shape does not match spec")
-        binding = [binding.psi(j) for j in range(1, spec.m + 1)]
-    elif isinstance(binding, dict):
-        for v in binding:
-            if v not in spec.y_vars:
-                raise ValueError(f"binding names undeclared variable {v}")
-        if set(binding) != set(spec.y_vars):
-            raise ValueError("binding must be a total Y-assignment")
-        binding = [binding[v] for v in spec.y_vars]
-    elif len(binding) != spec.m:
-        raise ValueError(f"binding has {len(binding)} entries for "
-                         f"{spec.m} outputs")
 
     def entry(v, e):
         if e is None:
@@ -542,10 +530,7 @@ def parse_aiger(text: str) -> SkolemVector:
 
     def get(l):
         if l not in gate_of:
-            if (l ^ 1) in gate_of:
-                gate_of[l] = b.not_(gate_of[l ^ 1])
-            else:
-                raise ParseError(f"undefined literal {l}")
+            raise ParseError(f"undefined literal {l}")
         return gate_of[l]
 
     for lhs, r0, r1 in ands:

@@ -65,45 +65,6 @@ class ResolutionProof:
     def is_refutation(self) -> bool:
         return bool(self.steps) and self.clause(len(self.steps) - 1) == ()
 
-    def to_text(self) -> str:
-        lines = []
-        for idx, step in enumerate(self.steps):
-            if step[0] == "axiom":
-                lits = " ".join(map(str, step[1]))
-                lines.append(f"a {idx} {lits} 0 {step[2]}".replace("  ", " "))
-            else:
-                lits = " ".join(map(str, step[4]))
-                lines.append(f"r {idx} {lits} 0 {step[1]} {step[2]} {step[3]}"
-                             .replace("  ", " "))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ResolutionProof":
-        proof = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            toks = line.split()
-            try:
-                if toks[0] == "a":
-                    zero = toks.index("0", 2)
-                    clause = [int(t) for t in toks[2:zero]]
-                    origin = toks[zero + 1] if len(toks) > zero + 1 \
-                        else "input"
-                    proof.add_axiom(clause, origin)
-                elif toks[0] == "r":
-                    zero = toks.index("0", 2)
-                    clause = [int(t) for t in toks[2:zero]]
-                    left, right, pivot = (int(t) for t in toks[zero + 1:
-                                                               zero + 4])
-                    proof.add_resolve(left, right, pivot, clause)
-                else:
-                    raise ValueError(f"unknown step kind {toks[0]!r}")
-            except (ValueError, IndexError) as e:
-                raise ProofError(f"line {lineno}: {e}")
-        return proof
-
 
 def resolve_clauses(left, right, pivot: int):
     """Binary resolution on variable pivot; None if the rule misfires."""
@@ -117,29 +78,22 @@ def resolve_clauses(left, right, pivot: int):
     return tuple(sorted((ls - {pivot}) | (rs - {-pivot})))
 
 
-def check_proof(cnf: Cnf, proof: ResolutionProof,
-                return_index: bool = False):
+def check_proof(cnf: Cnf, proof: ResolutionProof) -> bool:
     """Every axiom in cnf, every resolvent exact, last clause empty."""
     known = {tuple(sorted(set(c))) for c in cnf.clauses}
-
-    def fail(i):
-        return (False, i) if return_index else False
-
     for idx, step in enumerate(proof.steps):
         if step[0] == "axiom":
             if step[1] not in known:
-                return fail(idx)
+                return False
         else:
             _, left, right, pivot, clause = step
             if not (0 <= left < idx and 0 <= right < idx):
-                return fail(idx)
+                return False
             got = resolve_clauses(proof.clause(left), proof.clause(right),
                                   pivot)
             if got is None or set(got) != set(clause):
-                return fail(idx)
-    if not proof.is_refutation():
-        return fail(len(proof.steps))
-    return (True, None) if return_index else True
+                return False
+    return proof.is_refutation()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .solver import ResourceLimitError
 from .verify import check_unique
 
 LEX_LIMIT = 16
-DOUBLING_CAP = 1 << 10      # max circuit-size guess for the learner
+SIZE_CAP = 1 << 10          # max circuit-size guess for the learner
 COUNT_TRIALS = 3            # counting trials per cover iteration
 
 
@@ -45,12 +45,13 @@ class InconsistentEncodingError(Exception):
 # ---------------------------------------------------------------------------
 # lexicographic-first (closed form)
 
-def _lex_terms(spec: Specification, tuples):
-    """Shared machinery for lex-style selectors.
+def _selector_vector(spec: Specification, tuples) -> SkolemVector:
+    """Vector outputting the first tuple in the list whose F(X, y) holds.
 
     For each y-tuple (in the given order) build
     term_j = F(X, y_j) & AND_{j' < j} ~F(X, y_j'), sharing the running
-    prefix product.  Returns (builder, term gate ids in tuple order).
+    prefix product; output i is the OR of the terms whose tuple has
+    bit i set.
 
     F enters each tuple by partial evaluation: gates reading only Y are
     evaluated for all tuples at once (bit j of a mask is the value under
@@ -104,12 +105,6 @@ def _lex_terms(spec: Specification, tuples):
         fx = remap[out]
         terms.append(b.and_(fx, prefix))
         prefix = b.and_(prefix, b.not_(fx))
-    return b, terms
-
-
-def _selector_vector(spec: Specification, tuples) -> SkolemVector:
-    """Vector outputting the first tuple in the list whose F(X, y) holds."""
-    b, terms = _lex_terms(spec, tuples)
     outs = []
     for i in range(spec.m):
         outs.append(b.or_many(t for bits, t in zip(tuples, terms)
@@ -123,7 +118,8 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
     Oracle-free; total size is bounded by |F|·m·2^{2m} (empirically far
     smaller thanks to shared prefix products and constant folding).
     Per tuple only F's gates that read both X and Y are rebuilt; the
-    Y-only gates are evaluated once for all 2^m tuples (see _lex_terms).
+    Y-only gates are evaluated once for all 2^m tuples (see
+    _selector_vector).
     """
     if spec.m > m_limit:
         raise ValueError(
@@ -478,16 +474,16 @@ def _hypothesis_counterexample(spec: Specification, i: int, h: Circuit,
 
 def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
                      d: int = 4, seed=0, s0: int = None,
-                     max_s: int = DOUBLING_CAP,
+                     max_s: int = SIZE_CAP,
                      state_log: list = None) -> Circuit:
     """Learn a circuit for Y_i over (X, Y^{1:i-1}) by majority voting.
 
     Caller should have confirmed uniqueness (check_unique); on non-unique
-    bits the loop can fail its budget.  Doubles the size bound until the
-    hypothesis passes the unsat check.
+    bits the loop can fail its budget.  Tries sizes s0, s0+1, ... up to
+    max_s until the hypothesis passes the unsat check.
     """
     oracle = oracle or Oracle()
-    s = s0 if s0 is not None else max(spec.n + i, 4)
+    s = s0 if s0 is not None else 1
     while s <= max_s:
         state = LearnerState(s)
         if state_log is not None:
@@ -507,7 +503,7 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
                 enc.add_case(*ce)
         except InconsistentEncodingError:
             pass  # size bound too small for any consistent circuit
-        s *= 2
+        s += 1
     raise BudgetExceededError(
         f"unique-bit learner failed up to size bound {max_s} for Y_{i}")
 

@@ -7,7 +7,7 @@ import skolemkit.synth as synth_mod
 from skolemkit.benchgen import gen_factor, gen_planted_cover
 from skolemkit.circuits import Builder, SkolemVector, input_masks
 from skolemkit.formula import Specification
-from skolemkit.oracle import Oracle
+from skolemkit.oracle import Oracle, labeled_rng
 from skolemkit.solver import Solver
 from skolemkit.synth import (CoverSet, InconsistentEncodingError,
                              build_cover_circuit, count_consistent,
@@ -85,7 +85,7 @@ def test_lex_limit_enforced():
 
 def reference_selector(spec, tuples):
     """The lex selector with one full import of F per tuple, the loop that
-    partial evaluation in _lex_terms must reproduce gate for gate."""
+    partial evaluation in _selector_vector must reproduce gate for gate."""
     b = Builder()
     xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}
     terms = []
@@ -472,6 +472,25 @@ def test_learner_learns_and():
     h = synth_unique_bit(spec, 1, oracle, seed=7, s0=1)
     for a, b in itertools.product((0, 1), repeat=2):
         assert h.eval({("x", 1): a, ("x", 2): b})[0] == (a & b)
+
+
+def test_learner_default_start_finds_three_gate_targets():
+    # the criterion-6 family F(x, y1) = (y1 <-> T(x)), T of 3 gates over
+    # 3 or 4 inputs; sizes tried from 1 up stay within the exact tier
+    for n, seed in itertools.product((3, 4), range(10)):
+        rng = labeled_rng(seed, "acceptance/learner")
+        b = Builder()
+        pool = [b.inp(v) for v in range(1, n + 1)]
+        for _ in range(3):
+            op = rng.choice(["and_", "or_", "xor_"])
+            g = getattr(b, op)(rng.choice(pool), rng.choice(pool))
+            if rng.getrandbits(1):
+                g = b.not_(g)
+            pool.append(g)
+        spec = Specification(list(range(1, n + 1)), [n + 1], b.extract(
+            [b.xnor_(b.inp(n + 1), pool[-1])]))
+        h = synth_unique_bit(spec, 1, Oracle(), seed=seed, max_s=3)
+        assert verify_skolem(spec, SkolemVector(n, h)).is_valid
 
 
 def test_learner_consistent_count_strictly_decreases():
