@@ -51,7 +51,6 @@ class BphpParams:
             raise ValueError(f"unknown regime {regime!r}")
         self.k = k
         self.m = m
-        self.regime = regime
 
     def xvar(self, i: int, j: int) -> int:
         return (i - 1) * self.m + j

@@ -44,32 +44,22 @@ class Cnf:
         return len(self.clauses)
 
 
-class TseitinResult:
-    def __init__(self, cnf: Cnf, output_lits: list, aux_vars: set):
-        self.cnf = cnf
-        self.output_lits = output_lits      # circuit outputs -> literals
-        self.aux_vars = aux_vars            # freshly introduced variables
-
-
-def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
-            assert_outputs=True) -> TseitinResult:
-    """Encode ``circuit`` into ``cnf``.
+def tseitin(circuit: Circuit, input_var, cnf: Cnf,
+            assert_outputs=True) -> list:
+    """Encode ``circuit`` into ``cnf`` and return its output literals.
 
     ``input_var(name)`` maps every input name to an existing CNF variable.
     When ``assert_outputs`` is True (or a list of polarities), a unit
     clause fixes each output accordingly.  Adds 3 clauses per AND/OR
-    gate; NOT and CONST gates are free.
+    gate; NOT and CONST gates are free.  The variables it adds are
+    fresh: the ids above ``cnf.nvars`` at entry.
     """
-    if cnf is None:
-        cnf = Cnf()
-    aux = set()
     units = set()
     true_lit = [None]  # lazily allocated var fixed to 1, for bare constants
 
     def get_true():
         if true_lit[0] is None:
             v = cnf.fresh()
-            aux.add(v)
             cnf.add([v])
             units.add(v)
             true_lit[0] = v
@@ -87,7 +77,6 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
         else:
             a, b = lits[gate[1]], lits[gate[2]]
             g = cnf.fresh()
-            aux.add(g)
             if op == "and":
                 cnf.add([-g, a])
                 cnf.add([-g, b])
@@ -107,7 +96,7 @@ def tseitin(circuit: Circuit, input_var, cnf: Cnf = None,
             if unit not in units:
                 cnf.add([unit])
                 units.add(unit)
-    return TseitinResult(cnf, out_lits, aux)
+    return out_lits
 
 
 def xor_literal(cnf: Cnf, variables) -> int:

@@ -33,7 +33,7 @@ class Specification:
             if name not in declared:
                 raise ValueError(f"matrix reads undeclared variable {name}")
         self.matrix = matrix
-        self._enc = None
+        self._cnf = None
 
     @property
     def n(self):
@@ -43,20 +43,19 @@ class Specification:
     def m(self):
         return len(self.y_vars)
 
-    def _encode(self):
-        if self._enc is None:
-            cnf = Cnf(max(self.x_vars + self.y_vars, default=0))
-            self._enc = tseitin(self.matrix, lambda name: name, cnf,
-                                assert_outputs=True)
-        return self._enc
-
     @property
     def cnf(self) -> Cnf:
         """Tseitin CNF with the matrix asserted true."""
-        return self._encode().cnf
+        if self._cnf is None:
+            self._cnf = Cnf(max(self.x_vars + self.y_vars, default=0))
+            tseitin(self.matrix, lambda name: name, self._cnf,
+                    assert_outputs=True)
+        return self._cnf
 
-    def aux_vars(self) -> set:
-        return self._encode().aux_vars
+    def aux_vars(self) -> range:
+        """The Tseitin auxiliaries: every CNF variable above X and Y."""
+        return range(max(self.x_vars + self.y_vars, default=0) + 1,
+                     self.cnf.nvars + 1)
 
     def eval(self, assign: dict) -> int:
         """Evaluate F on a total assignment var-id -> bit."""
@@ -314,7 +313,7 @@ def write_qdimacs(spec: Specification) -> str:
     lines.append(f"p cnf {cnf.nvars} {len(cnf.clauses)}")
     if spec.x_vars:
         lines.append("a " + " ".join(map(str, spec.x_vars)) + " 0")
-    evars = list(spec.y_vars) + sorted(spec.aux_vars())
+    evars = list(spec.y_vars) + list(spec.aux_vars())
     if evars:
         lines.append("e " + " ".join(map(str, evars)) + " 0")
     for c in cnf.clauses:

@@ -112,30 +112,29 @@ def solve_with_proof(cnf: Cnf, max_conflicts: int = None):
 def expand_chains(solver: Solver) -> ResolutionProof:
     """Expand the solver's learned-clause chains into binary resolutions.
 
-    Materializes only clauses in the cone of the empty-clause chain;
-    axioms are labelled "input".
+    Chains hold their clauses; the walk from the empty-clause chain
+    materializes each clause of its cone once.  Axioms are labelled "input".
     """
     proof = ResolutionProof()
-    memo = {}
+    memo = {}   # clause object -> proof index
 
-    def build(cid: int) -> int:
-        if cid in memo:
-            return memo[cid]
-        cl = solver.by_id[cid]
+    def build(cl) -> int:
+        if cl in memo:
+            return memo[cl]
         if cl.chain is None:
             idx = proof.add_axiom(cl.lits)
         else:
             idx = replay(cl.chain, set(cl.lits))
-        memo[cid] = idx
+        memo[cl] = idx
         return idx
 
     def replay(chain, expect: set) -> int:
         start, steps = chain
         idx = build(start)
-        cur = set(solver.by_id[start].lits)
-        for rcid, pivot in steps:
-            ridx = build(rcid)
-            nxt = resolve_clauses(tuple(cur), solver.by_id[rcid].lits, pivot)
+        cur = set(start.lits)
+        for reason, pivot in steps:
+            ridx = build(reason)
+            nxt = resolve_clauses(tuple(cur), reason.lits, pivot)
             if nxt is None:
                 raise ProofError(
                     f"recorded chain does not resolve on {pivot}")
@@ -243,17 +242,17 @@ def extract_interpolant(instance: InterpolationInstance,
 # Slivovsky-style per-bit synthesis
 
 def _substituted_side(spec: Specification, i: int, bit: int,
-                      built: dict, cnf: Cnf) -> set:
+                      built: dict, cnf: Cnf) -> range:
     """Tseitin of F with Y_i := bit and later bits replaced by circuits.
 
     Adds clauses into cnf using spec's ids for X and Y^{1:i-1}; returns
-    the fresh side-local auxiliary variables.
+    the side-local auxiliary variables, the ids that tseitin added.
     """
     binding = ([None] * (i - 1) + [bit]
                + [built[j] for j in range(i + 1, spec.m + 1)])
-    enc = tseitin(substitute(spec, binding), lambda v: v, cnf,
-                  assert_outputs=True)
-    return enc.aux_vars
+    n0 = cnf.nvars
+    tseitin(substitute(spec, binding), lambda v: v, cnf, assert_outputs=True)
+    return range(n0 + 1, cnf.nvars + 1)
 
 
 def slivovsky_synth(spec: Specification):

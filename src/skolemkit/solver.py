@@ -42,12 +42,11 @@ def luby(i: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "cid", "chain", "w")
+    __slots__ = ("lits", "chain", "w")
 
-    def __init__(self, lits, cid, chain=None):
+    def __init__(self, lits, chain=None):
         self.lits = lits
-        self.cid = cid
-        self.chain = chain  # (start_cid, [(reason_cid, pivot_var), ...])
+        self.chain = chain  # (start_cl, [(reason_cl, pivot_var), ...]) or None
         self.w = None       # the two watched literals
 
 
@@ -55,8 +54,6 @@ class Solver:
     def __init__(self, cnf: Cnf = None, log_proof: bool = False):
         self.nvars = 0
         self.log_proof = log_proof
-        self.by_id: dict[int, _Clause] = {}
-        self.next_cid = 1
         # by literal (length 2*cap + 1): True, False or None when unassigned
         self.vals: list = [None]
         self.watches: list[list] = [[]]
@@ -112,13 +109,10 @@ class Solver:
         self.ensure_vars(max(map(abs, clause), default=0))
         if not set(clause).isdisjoint(map(neg, clause)):
             return None  # tautology
-        cid = self.next_cid
-        self.next_cid += 1
-        cl = _Clause(tuple(clause), cid, _chain)
-        self.by_id[cid] = cl
+        cl = _Clause(tuple(clause), _chain)
         if not clause:
             self.unsat = True
-            self.empty_chain = (cid, [])
+            self.empty_chain = (cl, [])
             return cl
         if _learned:
             # caller guarantees clause[0] is the asserting literal and
@@ -241,7 +235,6 @@ class Solver:
         lits = set(conflict.lits)
         n_cur = sum(1 for l in lits if level[abs(l)] == cur_level)
         chain = [] if self.log_proof else None
-        start = conflict.cid
         bumped = []  # resolved variables, then the learned clause's
         idx = len(trail) - 1
         while n_cur > 1:
@@ -267,13 +260,13 @@ class Solver:
             lits |= set(rest)
             bumped.append(var)
             if chain is not None:
-                chain.append((r.cid, var))
+                chain.append((r, var))
         learned = sorted(lits, key=lambda l: -level[abs(l)])
         bumped += map(abs, learned)
         self._bump(bumped)
         bj = level[abs(learned[1])] if len(learned) > 1 else 0
-        return (learned, bj, ((start, chain) if chain is not None else None),
-                n_cur)
+        return (learned, bj,
+                ((conflict, chain) if chain is not None else None), n_cur)
 
     def _resolve_to_empty(self, start_cl: _Clause, lits: set):
         """All of ``lits`` are false at level 0: chain down to empty."""
@@ -292,8 +285,8 @@ class Solver:
                 return None
             lits.discard(-t)
             lits |= set(x for x in r.lits if x != t)
-            chain.append((r.cid, abs(t)))
-        return (start_cl.cid, chain)
+            chain.append((r, abs(t)))
+        return (start_cl, chain)
 
     def _derive_falsified(self, cl: _Clause):
         self.empty_chain = self._resolve_to_empty(cl, set(cl.lits))

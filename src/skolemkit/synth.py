@@ -204,31 +204,27 @@ VECTOR_LIMIT = 1 << 24      # max skeletons x table-combos for exact work
 
 class CircuitEncoding:
     """The circuits of exactly s gates over X u Y^{1:i-1} consistent with
-    the counterexamples added so far, held two ways.
+    the counterexamples added so far, in one form chosen by space size.
 
-    * cnf: per gate, a one-hot choice among ordered operand pairs (inputs
-      and strictly earlier gates) plus 4 truth-table bits; the last gate
-      is the output.  With a single available operand the gate
-      degenerates to the unary table (mixed entries are forced to 0 to
-      avoid double counting).
-    * masks: when skeletons x table-combos is at most VECTOR_LIMIT, one
+    * masks (exact tier, skeletons x table-combos <= VECTOR_LIMIT): one
       boolean row per gate-operand skeleton (in itertools.product order)
       over the 16^s table combos, True where the combo is consistent.
-      Otherwise None, and sampling goes through the CNF.
+    * cnf (XOR tier, otherwise): per gate, a one-hot choice among ordered
+      operand pairs (inputs and strictly earlier gates) plus 4 truth-table
+      bits; the last gate is the output.  A gate with a single operand
+      has the unary table (mixed entries are forced to 0).
 
-    add_case narrows both in place.
+    The other form is None; add_case narrows the one held in place.  A
+    circuit without inputs reads one constant-0 slot.
     """
 
     def __init__(self, n: int, i: int, s: int):
         self.n = n
         self.i = i
         self.s = s
-        self.p = n + i - 1  # circuit inputs: X then Y_1..Y_{i-1}
+        self.p = max(1, n + i - 1)  # input slots: X then Y_1..Y_{i-1}
         self.cases = []     # (input bits, target bit) per counterexample
-        self.cnf = Cnf()
-        self.pairs = []      # per gate: list of (a, b) operand slots
-        self.sel = []        # per gate: one selection var per pair
-        self.tt = []         # per gate: 4 truth-table vars, index 2*va+vb
+        self.pairs = []     # per gate: list of (a, b) operand slots
         self.space_size = 1
         for t in range(s):
             items = self.p + t
@@ -240,22 +236,8 @@ class CircuitEncoding:
                 pairs = [(0, 0)]
                 factor = 4
             self.pairs.append(pairs)
-            sel = [self.cnf.fresh() for _ in pairs]
-            tt = [self.cnf.fresh() for _ in range(4)]
-            self.sel.append(sel)
-            self.tt.append(tt)
-            self.cnf.add(sel)
-            for u, v in itertools.combinations(sel, 2):
-                self.cnf.add([-u, -v])
-            if items < 2:
-                self.cnf.add([sel[0]])
-                self.cnf.add([-tt[1]])
-                self.cnf.add([-tt[2]])
             self.space_size *= len(pairs) * factor
-        self.structure_vars = [v for g in range(s)
-                               for v in self.sel[g] + self.tt[g]]
-        self.skeletons = None
-        self.masks = None
+        self.cnf = self.masks = None
         if math.prod(map(len, self.pairs)) * 16 ** s <= VECTOR_LIMIT:
             self.skeletons = list(itertools.product(
                 *[range(len(pp)) for pp in self.pairs]))
@@ -267,16 +249,35 @@ class CircuitEncoding:
                 if self.pairs[t] == [(0, 0)]:
                     base &= (self._digits[t] & 0b0110) == 0
             self.masks = np.tile(base, (len(self.skeletons), 1))
+            return
+        self.cnf = Cnf()
+        self.sel = []        # per gate: one selection var per pair
+        self.tt = []         # per gate: 4 truth-table vars, index 2*va+vb
+        for pairs in self.pairs:
+            sel = [self.cnf.fresh() for _ in pairs]
+            tt = [self.cnf.fresh() for _ in range(4)]
+            self.sel.append(sel)
+            self.tt.append(tt)
+            self.cnf.add(sel)
+            for u, v in itertools.combinations(sel, 2):
+                self.cnf.add([-u, -v])
+            if pairs == [(0, 0)]:
+                self.cnf.add([sel[0]])
+                self.cnf.add([-tt[1]])
+                self.cnf.add([-tt[2]])
+        self.structure_vars = [v for g in range(s)
+                               for v in self.sel[g] + self.tt[g]]
 
     def add_case(self, x, y):
         """Keep only the circuits that map x (and y's first i-1 bits) to
         y's bit i."""
-        inp = tuple(x) + tuple(y[:self.i - 1])
+        inp = tuple(x) + tuple(y[:self.i - 1]) or (0,)
         target = y[self.i - 1]
         self.cases.append((inp, target))
-        self._add_case(inp, target)
         if self.masks is not None:
             self._narrow(inp, target)
+        else:
+            self._add_case(inp, target)
 
     def _add_case(self, inp, target):
         val = [self.cnf.fresh() for _ in range(self.s)]
@@ -335,7 +336,7 @@ class CircuitEncoding:
         b = Builder()
         names = [("x", j + 1) for j in range(self.n)] + \
                 [("y", j + 1) for j in range(self.i - 1)]
-        wires = [b.inp(nm) for nm in names]
+        wires = [b.inp(nm) for nm in names] or [b.const(0)]
         gates = []
         for t in range(self.s):
             a, bb = self.pairs[t][choice[t]]
@@ -459,8 +460,7 @@ def _hypothesis_counterexample(spec: Specification, i: int, h: Circuit,
             return spec.x_vars[name[1] - 1]
         return spec.y_vars[name[1] - 1]
 
-    enc = tseitin(h, invar, cnf, assert_outputs=False)
-    hl = enc.output_lits[0]
+    hl = tseitin(h, invar, cnf, assert_outputs=False)[0]
     yi = spec.y_vars[i - 1]
     cnf.add([yi, hl])
     cnf.add([-yi, -hl])

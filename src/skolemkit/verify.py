@@ -49,8 +49,8 @@ def build_error_formula(spec: Specification, candidate: SkolemVector) -> Cnf:
             return xv[name]
         return yprime[name[1] - 1]
 
-    enc = tseitin(candidate.arena, invar, cnf, assert_outputs=False)
-    for yp, lit in zip(yprime, enc.output_lits):
+    outs = tseitin(candidate.arena, invar, cnf, assert_outputs=False)
+    for yp, lit in zip(yprime, outs):
         cnf.add([-yp, lit])
         cnf.add([yp, -lit])
 

@@ -79,6 +79,21 @@ def test_synth_unique_inapplicable_exit_10(tmp_path):
     assert report["verdict"] == "not-unique" and report["failedBit"] == 1
 
 
+@pytest.mark.parametrize("strategy",
+                         [["unique"], ["auto", "--lex-limit", "0"]])
+def test_learner_spec_without_inputs(tmp_path, capsys, strategy):
+    # no universal inputs: the learned circuit reads one constant-0 slot
+    path = tmp_path / "noinput.qdimacs"
+    path.write_text("p cnf 2 2\ne 1 2 0\n-1 0\n2 0\n")
+    out = tmp_path / "vec.skolem"
+    rep = tmp_path / "rep.json"
+    assert main(["synth", str(path), "--strategy", *strategy,
+                 "-o", str(out), "--json", str(rep)]) == 0
+    assert read_json(str(rep))["verdict"] == "valid"
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(["verify", str(path), str(out)]) == 0
+
+
 def test_synth_aiger_then_verify_ok(tmp_path, spec_file):
     out = tmp_path / "vec.aag"
     assert main(["synth", spec_file, "--format", "aiger-ascii",

@@ -35,9 +35,8 @@ def test_tseitin_and_gate_shape():
     g = b.and_(b.inp("a"), b.inp("b"))
     circ = b.extract([g])
     cnf = Cnf(2)
-    res = tseitin(circ, lambda n: 1 if n == "a" else 2, cnf)
+    [v] = tseitin(circ, lambda n: 1 if n == "a" else 2, cnf)
     sets = [frozenset(c) for c in cnf.clauses]
-    v = next(iter(res.aux_vars))
     assert frozenset([-v, 1]) in sets
     assert frozenset([-v, 2]) in sets
     assert frozenset([v, -1, -2]) in sets

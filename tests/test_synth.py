@@ -266,7 +266,16 @@ def brute_force_structures(enc):
                 yield choice, tables
 
 
+def xor_twin(n, i, s, counterexamples):
+    """encode_bounded_circuits on the XOR tier: the same space held as
+    the bounded-circuit CNF."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth_mod, "VECTOR_LIMIT", 0)
+        return encode_bounded_circuits(n, i, s, counterexamples)
+
+
 def sat_structures(enc):
+    """The structures of an XOR-tier encoding, enumerated from its CNF."""
     o = Oracle()
     out = set()
     for bits in o.enumerate(enc.cnf, enc.structure_vars):
@@ -276,9 +285,10 @@ def sat_structures(enc):
 
 
 def test_encoding_single_gate_case():
-    enc = encode_bounded_circuits(2, 1, 1, [((1, 1), (1,))])
+    ces = [((1, 1), (1,))]
+    enc = encode_bounded_circuits(2, 1, 1, ces)
     structs = set(brute_force_structures(enc))
-    assert structs == sat_structures(enc)
+    assert structs == sat_structures(xor_twin(2, 1, 1, ces))
     funcs = set()
     for choice, tables in structs:
         c = enc.decode_structure(choice, tables)
@@ -293,9 +303,9 @@ def test_encoding_single_gate_case():
 
 
 def test_encoding_contradictory_counterexamples_unsat():
-    enc = encode_bounded_circuits(2, 1, 1,
-                                  [((0, 1), (1,)), ((0, 1), (0,))])
-    assert not Oracle().solve(enc.cnf).is_sat
+    ces = [((0, 1), (1,)), ((0, 1), (0,))]
+    enc = encode_bounded_circuits(2, 1, 1, ces)
+    assert not Oracle().solve(xor_twin(2, 1, 1, ces).cnf).is_sat
     with pytest.raises(InconsistentEncodingError):
         sample_candidate_pool(enc, 2, Oracle(), seed=0)
 
@@ -313,7 +323,8 @@ def test_encoding_count_matches_enumeration():
         want = len(list(brute_force_structures(enc)))
         assert count_consistent(enc) == want
         if want:
-            assert sat_structures(enc) == set(brute_force_structures(enc))
+            assert sat_structures(xor_twin(n, 1, s, ces)) == \
+                set(brute_force_structures(enc))
 
 
 def test_add_case_narrows_like_rebuild():
@@ -324,12 +335,14 @@ def test_add_case_narrows_like_rebuild():
         ces = [(tuple(rng.getrandbits(1) for _ in range(n)),
                 (rng.getrandbits(1),)) for _ in range(rng.randint(1, 4))]
         enc = encode_bounded_circuits(n, 1, s, [])
+        xenc = xor_twin(n, 1, s, [])
         for r in range(1, len(ces) + 1):
             enc.add_case(*ces[r - 1])
+            xenc.add_case(*ces[r - 1])
             fresh = encode_bounded_circuits(n, 1, s, ces[:r])
             want = len(list(brute_force_structures(fresh)))
             assert count_consistent(enc) == count_consistent(fresh) == want
-            assert enc.cnf.clauses == fresh.cnf.clauses
+            assert xenc.cnf.clauses == xor_twin(n, 1, s, ces[:r]).cnf.clauses
             pools = []
             for e in (enc, fresh):
                 try:
@@ -382,6 +395,7 @@ def test_pool_uniform_small_space():
 def test_pool_vector_tier_consistent():
     ces = [((1, 0, 1, 1), (1,)), ((0, 0, 1, 0), (0,))]
     enc = encode_bounded_circuits(4, 1, 3, ces)
+    assert enc.cnf is None  # the exact tier holds the masks only
     pool = sample_candidate_pool(enc, 24, Oracle(), seed=3)
     assert len(pool) == 24
     for c in pool:

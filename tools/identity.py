@@ -11,12 +11,23 @@ outputs, Solver.solve calls].  Reports are hashed without ``timing`` and
 example a ``git archive`` of the parent commit and the working tree, and
 diff the outputs: a change that keeps the program's behaviour prints the
 same object on both.
+
+The record also covers code that the workloads do not reach, under the
+label prefix ``extra/``:
+
+* ``skolemkit count`` reports on planted and factor specs written by
+  ``skolemkit gen``;
+* the learner's XOR tier (``VECTOR_LIMIT`` set to 0): candidate pools
+  and ``synth_unique_bit`` at fixed sizes, each with ``oracle.calls``;
+* ``slivovsky_synth`` on small specs whose every output bit is unique;
+* ``write_qdimacs`` of one spec per generator family.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -41,6 +52,95 @@ def canonical(out):
     return out
 
 
+def extra_jobs(workdir):
+    """(label, run) for the code that the workloads do not reach."""
+    from skolemkit import benchgen, cli, interplab, synth
+    from skolemkit.circuits import Builder
+    from skolemkit.formula import Specification, emit_skolem, write_qdimacs
+    from skolemkit.oracle import Oracle
+
+    # the 16 count reports: planted(12, 10, 4) with seeds 1-2 on x, y and
+    # xy, factor(5) on x and y, count seeds 0 and 7
+    specs = [(f"planted-{seed}", ["planted", "--n", "12", "--m", "10",
+                                  "--k", "4", "--seed", str(seed)],
+              ("x", "y", "xy")) for seed in (1, 2)]
+    specs.append(("factor-5", ["factor", "--bits", "5"], ("x", "y")))
+    for name, gen, projections in specs:
+        path = os.path.join(workdir, f"{name}.qdimacs")
+        if cli.main(["gen", *gen, "-o", path]) != 0:
+            raise RuntimeError(f"gen {name} failed")
+        for proj in projections:
+            for cseed in (0, 7):
+                def run(path=path, proj=proj, cseed=cseed):
+                    rep = os.path.join(workdir, "count.json")
+                    rc = cli.main(["count", path, "--project", proj,
+                                   "--seed", str(cseed), "--json", rep])
+                    if rc != 0:
+                        return [rc]
+                    with open(rep) as fh:
+                        return [rc, json.load(fh)]
+                yield f"count/{name}/{proj}/seed{cseed}", run
+
+    # the XOR tier: the jobs run while this generator waits at their
+    # yield, so inside the try they see VECTOR_LIMIT = 0
+    limit = synth.VECTOR_LIMIT
+    synth.VECTOR_LIMIT = 0
+    try:
+        for n, i, s, cases in [
+                (2, 1, 1, [((1, 1), (1,))]),
+                (2, 1, 2, [((0, 1), (0,)), ((1, 1), (1,))]),
+                (3, 1, 1, [((1, 0, 1), (1,)), ((0, 0, 1), (0,))]),
+                (1, 2, 2, [((1,), (0, 1)), ((0,), (1, 0))])]:
+            def run(n=n, i=i, s=s, cases=cases):
+                oracle = Oracle()
+                enc = synth.encode_bounded_circuits(n, i, s, cases)
+                pool = synth.sample_candidate_pool(enc, 4, oracle, seed=5)
+                return [pool, oracle.calls]
+            yield f"xor/pool/n{n}i{i}s{s}", run
+        for op in ("and_", "xor_"):
+            for s in (1, 2):
+                def run(op=op, s=s):
+                    oracle, b = Oracle(), Builder()
+                    spec = Specification([1, 2], [3], b.extract([b.xnor_(
+                        b.inp(3), getattr(b, op)(b.inp(1), b.inp(2)))]))
+                    h = synth.synth_unique_bit(spec, 1, oracle, s0=s,
+                                               max_s=s)
+                    return [h, oracle.calls]
+                yield f"xor/unique/{op}/s{s}", run
+    finally:
+        synth.VECTOR_LIMIT = limit
+
+    # slivovsky_synth on the unique specs of tests/test_interplab.py
+    def xnor():
+        b = Builder()
+        return Specification([1], [2],
+                             b.extract([b.xnor_(b.inp(1), b.inp(2))]))
+
+    def two_outputs():
+        b = Builder()
+        x1, x2, y1, y2 = (b.inp(v) for v in (1, 2, 3, 4))
+        return Specification([1, 2], [3, 4], b.extract([b.and_(
+            b.xnor_(y1, b.and_(x1, x2)), b.xnor_(y2, b.xor_(x1, y1)))]))
+    for name, make in [
+            ("xnor", xnor), ("two-outputs", two_outputs),
+            ("bphp-3-1", lambda: benchgen.gen_bphp(
+                benchgen.BphpParams(3, 1, "paper")))]:
+        def run(make=make):
+            vec, sizes = interplab.slivovsky_synth(make())
+            return [emit_skolem(vec), sizes]
+        yield f"slivovsky/{name}", run
+
+    # write_qdimacs of one spec per generator family
+    for name, make in [
+            ("bphp", lambda: benchgen.gen_bphp(benchgen.BphpParams(3, 1))),
+            ("trap", lambda: benchgen.gen_trap(
+                benchgen.TrapParams(10, 8, 3, seed=1))[0]),
+            ("factor", lambda: benchgen.gen_factor(4)),
+            ("planted", lambda: benchgen.gen_planted_cover(
+                12, 10, 4, seed=1)[0])]:
+        yield f"qdimacs/{name}", lambda make=make: write_qdimacs(make())
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/identity.py SRC_ROOT", file=sys.stderr)
@@ -53,6 +153,18 @@ def main(argv) -> int:
     solves = Counter()
     undo = tracing.count_solves(solves)
     record = {}
+
+    def run_job(label, run):
+        s0 = solves["solves"]
+        try:
+            text = json.dumps(canonical(run()), sort_keys=True)
+            digest = hashlib.sha1(text.encode()).hexdigest()
+        except workloads.JobFailed as e:
+            digest = f"failed: {e}"
+        except Exception as e:    # a broken tree still gets a full record
+            digest = f"raised: {type(e).__name__}: {e}"
+        record[label] = [digest, solves["solves"] - s0]
+
     try:
         with tempfile.TemporaryDirectory() as workdir:
             for name, cls in workloads.WORKLOADS.items():
@@ -61,16 +173,9 @@ def main(argv) -> int:
                     for rnd in range(ROUNDS):
                         for job in workload.make_round(seed, rnd, workdir,
                                                        seen):
-                            s0 = solves["solves"]
-                            try:
-                                text = json.dumps(canonical(job.run()),
-                                                  sort_keys=True)
-                                digest = hashlib.sha1(
-                                    text.encode()).hexdigest()
-                            except workloads.JobFailed as e:
-                                digest = f"failed: {e}"
-                            record[f"{name}/{seed}/{job.label}"] = [
-                                digest, solves["solves"] - s0]
+                            run_job(f"{name}/{seed}/{job.label}", job.run)
+            for label, run in extra_jobs(workdir):
+                run_job(f"extra/{label}", run)
     finally:
         undo()
     print(json.dumps(record, indent=1, sort_keys=True))
