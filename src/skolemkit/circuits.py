@@ -346,7 +346,37 @@ def vector_from_circuits(n: int, psis) -> SkolemVector:
     return SkolemVector(n, b.extract(outs))
 
 
-def constant_vector(n: int, bits) -> SkolemVector:
+SWEEP_LIMIT = 1 << 27       # max gates x 2^k signature bits for sweep
+
+
+def sweep(circuit: Circuit) -> Circuit:
+    """The circuit with gates that compute the same function merged.
+
+    Every gate is simulated on all 2^k assignments of the k input names
+    (its signature).  Gates are then rebuilt in order: a constant
+    signature becomes a constant, a signature seen before maps to the
+    earlier gate, the complement of one seen before to its NOT, and any
+    other gate is rebuilt from its mapped operands.  Circuits whose
+    signatures would exceed SWEEP_LIMIT bits come back unchanged.
+    """
+    names = circuit.input_names()
+    n = len(circuit.gates)
+    if n << len(names) > SWEEP_LIMIT:
+        return circuit
+    width = 1 << len(names)
+    full = (1 << width) - 1
+    sigs = Circuit(circuit.gates, range(n)).eval_masks(input_masks(names),
+                                                       width)
     b = Builder()
-    outs = [b.const(v) for v in bits]
-    return SkolemVector(n, b.extract(outs))
+    seen: dict[int, int] = {}   # signature -> gate id in b
+    remap = [0] * n
+    for idx, sig in enumerate(sigs):
+        if sig == 0 or sig == full:
+            remap[idx] = b.const(sig)
+        elif sig in seen:
+            remap[idx] = seen[sig]
+        elif sig ^ full in seen:
+            remap[idx] = b.not_(seen[sig ^ full])
+        else:
+            seen[sig] = b.rebuild(circuit, b.inp, remap, (idx,))[idx]
+    return b.extract([remap[o] for o in circuit.outputs])

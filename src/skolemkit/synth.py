@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .circuits import Builder, Circuit, SkolemVector, vector_from_circuits
+from .circuits import (Builder, Circuit, SkolemVector, sweep,
+                       vector_from_circuits)
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
 from .oracle import (Oracle, approx_count_projected, labeled_rng,
@@ -112,6 +113,12 @@ def _selector_vector(spec: Specification, tuples) -> SkolemVector:
     return SkolemVector(spec.n, b.extract(outs))
 
 
+def _swept_selector(spec: Specification, tuples) -> SkolemVector:
+    """_selector_vector with equivalent gates merged (see sweep).  The
+    selector reads only X, so merging cannot add a Y-dependency."""
+    return SkolemVector(spec.n, sweep(_selector_vector(spec, tuples).arena))
+
+
 def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
     """Lexicographically smallest satisfying y-tuple, Y_1 most significant.
 
@@ -119,14 +126,14 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
     smaller thanks to shared prefix products and constant folding).
     Per tuple only F's gates that read both X and Y are rebuilt; the
     Y-only gates are evaluated once for all 2^m tuples (see
-    _selector_vector).
+    _selector_vector).  The selector is then swept.
     """
     if spec.m > m_limit:
         raise ValueError(
             f"m={spec.m} exceeds the lexicographic limit {m_limit} "
             f"(size grows like 2^(2m))")
     tuples = list(itertools.product((0, 1), repeat=spec.m))
-    return _selector_vector(spec, tuples)
+    return _swept_selector(spec, tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,7 @@ class CoverSet:
 
 def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
     """Select the lexicographically first y in S' with F(x, y) = 1."""
-    return _selector_vector(spec, sorted(cover.elements))
+    return _swept_selector(spec, sorted(cover.elements))
 
 
 def synth_cover(spec: Specification, oracle: Oracle = None,
@@ -480,7 +487,8 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
 
     Caller should have confirmed uniqueness (check_unique); on non-unique
     bits the loop can fail its budget.  Tries sizes s0, s0+1, ... up to
-    max_s until the hypothesis passes the unsat check.
+    max_s until the hypothesis passes the unsat check, and returns that
+    hypothesis swept.
     """
     oracle = oracle or Oracle()
     s = s0 if s0 is not None else 1
@@ -498,7 +506,7 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
                 h = majority_hypothesis(pool)
                 ce = _hypothesis_counterexample(spec, i, h, oracle)
                 if ce is None:
-                    return h
+                    return sweep(h)
                 state.counterexamples.append(ce)
                 enc.add_case(*ce)
         except InconsistentEncodingError:

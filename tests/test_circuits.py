@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from skolemkit import circuits, synth
+from skolemkit.benchgen import gen_factor, gen_planted_cover
 from skolemkit.circuits import (Builder, Circuit, CyclicDependencyError,
-                                MissingInputError, SkolemVector,
-                                constant_vector, input_masks,
-                                vector_from_circuits)
+                                MissingInputError, SkolemVector, input_masks,
+                                sweep, vector_from_circuits)
 
 
 def test_basic_gates():
@@ -132,7 +133,8 @@ def test_vector_from_circuits_and_constant_vector():
     c1 = b.extract([b.inp(("x", 1))])
     vec = vector_from_circuits(2, [c1, c1])
     assert vec.eval([1, 0]) == [1, 1]
-    cv = constant_vector(3, [1, 0])
+    cv = vector_from_circuits(3, [Circuit((("const", v),), (0,))
+                                  for v in (1, 0)])
     assert cv.eval([0, 1, 1]) == [1, 0]
 
 
@@ -173,3 +175,89 @@ def test_psi_matches_cone_of_full_import():
             want = ref.extract([got[i - 1]])
             psi = vec.psi(i)
             assert (psi.gates, psi.outputs) == (want.gates, want.outputs)
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+def truth_tables(c, names):
+    return c.eval_masks(input_masks(names), 1 << len(names))
+
+
+def assert_sweep_sound(c):
+    """sweep keeps every output's function, never adds gates, and is
+    idempotent gate for gate; returns the swept circuit."""
+    names = c.input_names()
+    s = sweep(c)
+    assert truth_tables(s, names) == truth_tables(c, names)
+    assert len(s.gates) <= len(c.gates) and s.size <= c.size
+    again = sweep(s)
+    assert (again.gates, again.outputs) == (s.gates, s.outputs)
+    return s
+
+
+def random_circuit(rng, names, steps, outputs):
+    b = Builder()
+    pool = [b.inp(n) for n in names] + [b.const(rng.getrandbits(1))]
+    for _ in range(steps):
+        op = rng.choice(["and_", "or_", "xor_", "not_", "mux_"])
+        if op == "not_":
+            pool.append(b.not_(rng.choice(pool)))
+        elif op == "mux_":
+            pool.append(b.mux_(*(rng.choice(pool) for _ in range(3))))
+        else:
+            pool.append(getattr(b, op)(rng.choice(pool), rng.choice(pool)))
+    return b.extract(rng.sample(pool, min(outputs, len(pool))))
+
+
+def test_sweep_random_circuits():
+    rng = random.Random(16)
+    shrunk = 0
+    for _ in range(200):
+        names = [f"v{i}" for i in range(rng.randint(0, 5))]
+        c = random_circuit(rng, names, rng.randint(0, 40), rng.randint(1, 4))
+        shrunk += assert_sweep_sound(c).size < c.size
+    assert shrunk > 20
+
+
+def test_sweep_real_vectors():
+    spec = gen_factor(5)
+    tuples = list(itertools.product((0, 1), repeat=spec.m))
+    lex = synth._selector_vector(spec, tuples).arena
+    assert assert_sweep_sound(lex).size * 4 < lex.size
+    spec, targets = gen_planted_cover(8, 6, 3, seed=2)
+    assert_sweep_sound(synth._selector_vector(spec, sorted(targets)).arena)
+    enc = synth.encode_bounded_circuits(3, 1, 2, [
+        ((x1, x2, x3), (int(x1 + x2 + x3 >= 2),))
+        for x1, x2, x3 in itertools.product((0, 1), repeat=3)][:6])
+    pool = synth.sample_candidate_pool(enc, 9, seed=4)
+    assert_sweep_sound(synth.majority_hypothesis(pool))
+
+
+def test_sweep_complemented_duplicate_becomes_not():
+    # ~a | ~b computes ~(a & b)
+    c = Circuit((("in", "a"), ("in", "b"), ("and", 0, 1), ("not", 0),
+                 ("not", 1), ("or", 3, 4)), (2, 5))
+    s = assert_sweep_sound(c)
+    first, second = s.outputs
+    assert s.gates[first][0] == "and"
+    assert s.gates[second] == ("not", first)
+    assert s.size == 2
+
+
+def test_sweep_constant_cone_becomes_const():
+    # a & (b & ~a) is 0, a | (b | ~a) is 1
+    c = Circuit((("in", "a"), ("in", "b"), ("not", 0), ("and", 1, 2),
+                 ("and", 0, 3), ("or", 1, 2), ("or", 0, 5)), (4, 6))
+    s = assert_sweep_sound(c)
+    assert s.gates == (("const", 0), ("const", 1))
+    assert s.outputs == (0, 1)
+
+
+def test_sweep_over_budget_returns_circuit_unchanged(monkeypatch):
+    c = Circuit((("in", "a"), ("in", "b"), ("and", 0, 1), ("not", 0),
+                 ("not", 1), ("or", 3, 4)), (2, 5))
+    monkeypatch.setattr(circuits, "SWEEP_LIMIT", (len(c.gates) << 2) - 1)
+    assert sweep(c) is c
+    monkeypatch.setattr(circuits, "SWEEP_LIMIT", len(c.gates) << 2)
+    assert sweep(c).size == 2

@@ -1,11 +1,14 @@
 import csv
+import itertools
 import json
 
 import pytest
 
 from skolemkit import synth
-from skolemkit.circuits import constant_vector
+from skolemkit.benchgen import gen_factor
+from skolemkit.circuits import Circuit, vector_from_circuits
 from skolemkit.cli import main
+from skolemkit.formula import emit_skolem, parse_spec, write_qdimacs
 
 IDENTITY = "p cnf 2 2\na 1 0\ne 2 0\n-1 2 0\n1 -2 0\n"
 FREE_Y = "p cnf 2 1\na 1 0\ne 2 0\n1 2 -2 0\n"
@@ -101,6 +104,19 @@ def test_synth_aiger_then_verify_ok(tmp_path, spec_file):
     assert main(["verify", spec_file, str(out)]) == 0
 
 
+def test_lex_cli_writes_the_swept_library_vector(tmp_path):
+    text = write_qdimacs(gen_factor(4))
+    path, out, rep = (tmp_path / f for f in ("f4.qdimacs", "vec", "rep"))
+    path.write_text(text)
+    assert main(["synth", str(path), "--strategy", "lex", "-o", str(out),
+                 "--json", str(rep)]) == 0
+    spec = parse_spec(text)
+    assert out.read_text() == emit_skolem(synth.synth_lex(spec))
+    tuples = list(itertools.product((0, 1), repeat=spec.m))
+    selector = synth._selector_vector(spec, tuples)
+    assert 3 * read_json(str(rep))["circuitSize"] <= selector.size
+
+
 def test_auto_checks_the_vector_once(tmp_path, spec_file):
     rep = tmp_path / "rep.json"
     assert main(["synth", spec_file, "--json", str(rep)]) == 0
@@ -110,8 +126,9 @@ def test_auto_checks_the_vector_once(tmp_path, spec_file):
 
 
 def test_auto_invalid_vector_exit_10(tmp_path, spec_file, monkeypatch):
+    zero = Circuit((("const", 0),), (0,))
     monkeypatch.setattr(synth, "synth_lex", lambda spec, m_limit=16:
-                        constant_vector(spec.n, [0] * spec.m))
+                        vector_from_circuits(spec.n, [zero] * spec.m))
     rep = tmp_path / "rep.json"
     assert main(["synth", spec_file, "--json", str(rep)]) == 10
     assert read_json(str(rep))["verdict"] == "counterexample"

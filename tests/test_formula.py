@@ -4,7 +4,8 @@ import random
 import pytest
 
 from skolemkit.benchgen import BphpParams, gen_bphp, gen_factor
-from skolemkit.circuits import Builder, SkolemVector, constant_vector
+from skolemkit.circuits import (Builder, Circuit, SkolemVector,
+                                vector_from_circuits)
 from skolemkit.formula import (ParseError, Specification, emit_aiger,
                                emit_skolem, parse_aiger, parse_skolem,
                                parse_spec, substitute, write_qdimacs)
@@ -201,7 +202,7 @@ def test_emit_parse_gatelist_round_trip():
 
 
 def test_emit_single_const():
-    vec = constant_vector(1, [1])
+    vec = vector_from_circuits(1, [Circuit((("const", 1),), (0,))])
     text = emit_skolem(vec)
     assert text.splitlines()[0] == "skolem 1 1"
     back = parse_skolem(text)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from skolemkit.benchgen import BphpParams, gen_bphp, gen_factor
-from skolemkit.circuits import Builder, SkolemVector, constant_vector
+from skolemkit.circuits import (Builder, Circuit, SkolemVector,
+                                vector_from_circuits)
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle
 from skolemkit.verify import (build_error_formula, check_unique,
@@ -90,7 +91,8 @@ def test_error_formula_wrong_candidate_sat():
 
 def test_factor_constant_candidate_counterexample():
     spec = gen_factor(4)
-    vec = constant_vector(4, [0, 0, 1, 0, 0, 0, 1, 0])  # always (2, 2)
+    vec = vector_from_circuits(4, [Circuit((("const", v),), (0,)) for v in
+                                   (0, 0, 1, 0, 0, 0, 1, 0)])  # always (2, 2)
     verdict = verify_skolem(spec, vec)
     assert verdict.status == "counterexample"
     w = verdict.witness
@@ -131,7 +133,8 @@ def test_verify_agrees_with_exhaustive():
 def test_shape_mismatch_rejected():
     spec = xy_identity_spec()
     with pytest.raises(ValueError):
-        build_error_formula(spec, constant_vector(2, [0]))
+        build_error_formula(spec, vector_from_circuits(
+            2, [Circuit((("const", 0),), (0,))]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ SRC_ROOT is the root of a checkout (it holds src/ and bench/).  The
 script imports skolemkit from SRC_ROOT/src and the workloads from
 SRC_ROOT/bench, runs rounds 0-1 of seeds 1-3 of every workload in this
 process, and prints one JSON object: job label -> [sha1 of the job's
-outputs, Solver.solve calls].  Reports are hashed without ``timing`` and
+outputs, Solver.solve calls], followed by the sha1 of the output truth
+tables when the job's output holds Skolem vectors or circuits (see
+``functions``).  Reports are hashed without ``timing`` and
 ``outputFile``, which vary from run to run.  Run it on two trees, for
 example a ``git archive`` of the parent commit and the working tree, and
 diff the outputs: a change that keeps the program's behaviour prints the
-same object on both.
+same object on both, and a change that rewrites circuits but keeps what
+they compute prints the same solve counts and truth-table digests.
 
 The record also covers code that the workloads do not reach, under the
 label prefix ``extra/``:
@@ -36,6 +39,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 ROUNDS = 2
 VOLATILE = ("timing", "outputFile")
+TABLE_INPUTS = 16       # wider circuits (interpolants) are not tabulated
 
 
 def canonical(out):
@@ -50,6 +54,41 @@ def canonical(out):
     if hasattr(out, "gates"):                   # Circuit
         return canonical([out.gates, out.outputs])
     return out
+
+
+def circuit_tables(c):
+    """(essential inputs, output truth tables over them) of a circuit.
+
+    Inputs that no output depends on are left out, so a circuit and a
+    rewrite of it that drops such an input get the same tables."""
+    from skolemkit.circuits import input_masks
+    names = c.input_names()
+    masks = input_masks(names)
+    tables = c.eval_masks(masks, 1 << len(names))
+    support = []
+    for pos, name in enumerate(names):
+        block = 1 << (len(names) - 1 - pos)
+        ones = masks[name]
+        if any((t & ones) >> block != t & (ones >> block) for t in tables):
+            support.append(name)
+    support.sort()
+    assign = {**dict.fromkeys(names, 0), **input_masks(support)}
+    return [support, list(c.eval_masks(assign, 1 << len(support)))]
+
+
+def functions(out) -> list:
+    """Truth tables of the Skolem vectors (as emitted text) and circuits
+    in a job's output, in order; circuits over more than TABLE_INPUTS
+    inputs are skipped."""
+    from skolemkit.formula import parse_aiger, parse_skolem
+    if isinstance(out, (list, tuple)):
+        return [t for v in out for t in functions(v)]
+    if isinstance(out, str) and out.startswith(("skolem ", "aag ")):
+        parse = parse_aiger if out.startswith("aag ") else parse_skolem
+        return [parse(out).eval_masks()]
+    if hasattr(out, "gates") and len(out.input_names()) <= TABLE_INPUTS:
+        return [circuit_tables(out)]
+    return []
 
 
 def extra_jobs(workdir):
@@ -156,14 +195,20 @@ def main(argv) -> int:
 
     def run_job(label, run):
         s0 = solves["solves"]
+        tables = []
         try:
-            text = json.dumps(canonical(run()), sort_keys=True)
+            out = run()
+            text = json.dumps(canonical(out), sort_keys=True)
             digest = hashlib.sha1(text.encode()).hexdigest()
+            tables = functions(out)
         except workloads.JobFailed as e:
             digest = f"failed: {e}"
         except Exception as e:    # a broken tree still gets a full record
             digest = f"raised: {type(e).__name__}: {e}"
         record[label] = [digest, solves["solves"] - s0]
+        if tables:
+            text = json.dumps(canonical(tables), sort_keys=True)
+            record[label].append(hashlib.sha1(text.encode()).hexdigest())
 
     try:
         with tempfile.TemporaryDirectory() as workdir:
