@@ -2,30 +2,27 @@
 
 An Oracle session answers satisfiability queries either with the
 built-in CDCL engine or by shelling out to an external SAT solver that
-speaks DIMACS / SAT-competition output.  On top of plain queries sit
-projected approximate counting and hash-cell sampling.
+speaks DIMACS / SAT-competition output.  On top of plain queries sits
+projected approximate counting, which also returns a cell to sample from.
 
 Both rest on one primitive, _NestedCells: one sequence of random XOR
 rows over the projection, entered as parity literals on one incremental
 query, so its cells are nested (cell L+1 lies inside cell L) and each
 level's solves only assume the literals of its rows.  Every projected
-model found is kept and blocked, so no model is found twice.  Rows are
-stored as they were encoded.  Counting trials reduce each drawn row by
-Gaussian elimination against the encoded rows before it, in draw order:
-the same cells, cut by shorter parity chains.  Sampling and enumeration
-encode the drawn rows, because the solver's default phase (False) picks
-the low-weight model of a reduced cell, and reduced sampling cells drew
-the all-zero point of a free 6-variable space 40 times in 600 samples,
-against about 9 for a uniform draw.
+model found is kept and blocked, so no model is found twice.  Each
+drawn row is reduced by Gaussian elimination against the rows before
+it, in draw order: the same cells, cut by shorter parity chains.
 
 Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  One
 row sequence per trial serves every level.  The trial's level is the
 smallest whose cell holds at most PIVOT models, searched from the
 previous trial's level; the estimate is the median of count x 2^level,
-and its hash_bits is the last trial's level.  Sampling solves in cell
-hash_bits of one sequence and, while the cell is empty, in the enclosing
-cell one row up, down to level 0.  On "exec:" each solve is one process
-on a copy of the query with the assumptions as unit clauses.
+and its hash_bits is the last trial's level.  Sampling follows UniGen
+(Chakraborty, Meel & Vardi, DAC 2014): a saturated cell with at most
+PIVOT models has been enumerated in full, so a caller draws uniformly
+among its models, several draws per cell as in UniGen2 (Chakraborty,
+Fremont, Meel, Seshia & Vardi, TACAS 2015).  On "exec:" each solve is
+one process on a copy of the query with the assumptions as unit clauses.
 
 Randomness: one integer seed drives everything; each derived stream is
 seeded from the string "seed/label" so results are reproducible and
@@ -73,10 +70,12 @@ class OracleResult:
 class CountEstimate:
     """A hash-based projected model-count estimate."""
 
-    def __init__(self, estimate: int, hash_bits: int, trials: int):
+    def __init__(self, estimate: int, hash_bits: int, trials: int,
+                 cell: list):
         self.estimate = estimate
         self.hash_bits = hash_bits
         self.trials = trials
+        self.cell = cell    # models to sample from (approx_count_projected)
 
     def __repr__(self):
         return (f"CountEstimate({self.estimate}, hash_bits={self.hash_bits}, "
@@ -247,47 +246,43 @@ class _NestedCells:
 
     Rows are drawn from rng as levels need them (so rng may be None when
     only level 0 is solved): one bit per projected variable (is it
-    included?), then the parity.  They enter the query as
-    parity chains (cnf.xor_literal), and a level's solves assume the
-    parity literals of its first `level` rows, so cell L+1 lies inside
+    included?), then the parity.  A drawn row is reduced by one pass of
+    Gaussian elimination over the earlier rows in draw order, each with
+    its lowest bit as pivot, so it is 0 at every earlier pivot: each
+    prefix of rows spans the same space as the drawn prefix, so every
+    cell is the same, but a chain reads fewer variables and a dependent
+    row adds none.  `rows` holds the rows as reduced; they enter the
+    query as parity chains (cnf.xor_literal), and a level's solves assume
+    the parity literals of its first `level` rows, so cell L+1 lies inside
     cell L.  Every projected model found is blocked once and kept as a
-    bit mask over proj, so a level's count is the kept models that pass
-    its rows (a parity check, no solve) plus the new models its solves
-    find.
-
-    `rows` holds each row as it was encoded, and the kept models are
-    filtered by it.  With reduce_rows, a drawn row is first reduced by
-    one pass of Gaussian elimination over the earlier rows in draw order,
-    each with its lowest bit as pivot: the result is 0 at every earlier
-    pivot.  Each prefix of rows then spans the same space as the drawn
-    prefix, so every cell is the same, but a chain reads fewer variables
-    and a dependent row adds none.  Counting trials reduce; sampling and
-    enumeration encode the drawn rows, whose first model in a cell is
-    closer to uniform (see the module docstring).
+    bit mask over proj, next to the model restricted to cnf's variables,
+    so cell(level) is the kept models that pass its rows (a parity check,
+    no solve), and count(level) adds the new models its solves find.
     """
 
-    def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle,
-                 reduce_rows: bool = False):
+    def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle):
         self.proj = proj
         self.rng = rng
         self.oracle = oracle
+        self.nvars = cnf.nvars
         self.work = cnf.copy()      # the query without its blocking clauses
         self.query = oracle._open(self.work)
-        self.reduce_rows = reduce_rows
         self.rows = []              # encoded (mask over proj, parity)
         self.assumptions = []       # per row; None for a row without variables
-        self.kept = []              # projected models found, as masks
+        self.kept = []              # (mask over proj, model) per model found
         self.complete = float("inf")  # smallest level whose cell is all kept
 
     def _draw_row(self):
         mask = sum(self.rng.getrandbits(1) << i
                    for i in range(len(self.proj)))
         parity = self.rng.getrandbits(1)
-        if self.reduce_rows:
-            for m, p in self.rows:
-                if mask & m & -m:
-                    mask ^= m
-                    parity ^= p
+        for m, p in self.rows:
+            if mask & m & -m:
+                mask ^= m
+                parity ^= p
+        self._add_row(mask, parity)
+
+    def _add_row(self, mask: int, parity: int):
         self.rows.append((mask, parity))
         if not mask:
             # parity 0 holds everywhere; parity 1 empties the cell
@@ -319,19 +314,25 @@ class _NestedCells:
         if not res.is_sat:
             self.complete = level
             return None
-        bits = [res.model[v] for v in self.proj]
-        self.kept.append(sum(b << i for i, b in enumerate(bits)))
+        model = {v: res.model[v] for v in range(1, self.nvars + 1)}
+        bits = [model[v] for v in self.proj]
+        self.kept.append((sum(b << i for i, b in enumerate(bits)), model))
         self.query.add_clause([-v if b else v
                                for v, b in zip(self.proj, bits)])
-        return res.model
+        return model
 
-    def count(self, level: int) -> int:
-        """Projected models in cell `level`, capped at PIVOT + 1."""
+    def cell(self, level: int) -> list:
+        """The kept models in cell `level`, in the order found: all of
+        the cell's models once a count there stops below PIVOT + 1."""
         while len(self.rows) < level:
             self._draw_row()
         rows = self.rows[:level]
-        n = sum(1 for m in self.kept
-                if all((m & mask).bit_count() & 1 == p for mask, p in rows))
+        return [model for m, model in self.kept
+                if all((m & mask).bit_count() & 1 == p for mask, p in rows)]
+
+    def count(self, level: int) -> int:
+        """Projected models in cell `level`, capped at PIVOT + 1."""
+        n = len(self.cell(level))
         while n <= PIVOT and self.solve(level) is not None:
             n += 1
         return min(n, PIVOT + 1)
@@ -372,16 +373,23 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
                            seed=0, oracle: Oracle = None,
                            level_hint: int = None) -> CountEstimate:
     """ApproxMC2-style projected count: the median over trials of the
-    saturated cell's count x 2^level.
+    saturated cell's count x 2^level, with a cell to sample from.
 
     Trial t hashes with rows from labeled_rng(seed, f"count/{t}") on its
-    own _NestedCells query, which encodes them reduced, and saturates at
-    the smallest level whose cell holds at most PIVOT models, searched
-    from the previous trial's level (level_hint for the first).  Level 0
-    returns the exact count at once, so the count is exact when it is at
-    most PIVOT, and 0 only when the unhashed query is unsat.  An empty
-    cell above level 0 counts as the level below, which overflowed.
-    hash_bits is the last trial's level.
+    own _NestedCells query and saturates at the smallest level whose cell
+    holds at most PIVOT models, searched from the previous trial's level
+    (level_hint for the first).  Level 0 returns the exact count at once,
+    so the count is exact when it is at most PIVOT, and 0 only when the
+    unhashed query is unsat.  An empty cell above level 0 counts as the
+    level below, which overflowed.  hash_bits is the last trial's level.
+
+    cell holds the models of the last trial whose saturated cell is
+    nonempty and fully enumerated (0 < count <= PIVOT), each restricted
+    to cnf's variables with a distinct projection: a uniform draw from it
+    is a near-uniform sample of the projected models, as in UniGen
+    (Chakraborty, Meel & Vardi, DAC 2014).  When no trial has such a cell
+    (it came out empty, or still overflows at level len(proj)), trials
+    t >= epsilon_trials run until one has; they only supply the cell.
     """
     if epsilon_trials < 1:
         raise ValueError(f"counting needs at least 1 trial, got "
@@ -389,36 +397,24 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     proj = list(proj)
     oracle = oracle or Oracle()
     level = level_hint or 0
-    ests = []
-    for t in range(epsilon_trials):
+    ests, cell = [], []
+    t = 0
+    # past epsilon_trials the formula has more than PIVOT models (level 0
+    # would have returned), so a trial's cell is empty or overflows with
+    # probability about 1/2 at most (the last row's parity bit), and the
+    # loop ends
+    while len(ests) < epsilon_trials or not cell:
         cells = _NestedCells(cnf, proj, labeled_rng(seed, f"count/{t}"),
-                             oracle, reduce_rows=True)
-        level = cells.saturation_level(level)
-        n = cells.count(level)
-        if level == 0:
-            return CountEstimate(n, 0, t + 1)
-        ests.append(n << level if n else (PIVOT + 1) << (level - 1))
+                             oracle)
+        lv = cells.saturation_level(level)
+        n = cells.count(lv)
+        if lv == 0:
+            return CountEstimate(n, 0, t + 1, cells.cell(0))
+        if 0 < n <= PIVOT:
+            cell = cells.cell(lv)
+        if len(ests) < epsilon_trials:
+            level = lv
+            ests.append(n << lv if n else (PIVOT + 1) << (lv - 1))
+        t += 1
     ests.sort()
-    return CountEstimate(ests[len(ests) // 2], level, epsilon_trials)
-
-
-def sample_projected(cnf: Cnf, proj, hash_bits: int, seed,
-                     oracle: Oracle = None, label: str = "sample"
-                     ) -> OracleResult:
-    """Solve cnf in a random XOR cell of 2^-hash_bits of the projection.
-
-    The rows come from labeled_rng(seed, label) on one _NestedCells
-    query.  An empty cell drops its last row, so the next try is the
-    enclosing cell of the same sequence, down to level 0: unsat means cnf
-    is unsat.  The model covers cnf's own variables only.
-    """
-    if hash_bits < 0:
-        raise ValueError("hash_bits must be nonnegative")
-    cells = _NestedCells(cnf, list(proj), labeled_rng(seed, label),
-                         oracle or Oracle())
-    for level in range(hash_bits, -1, -1):
-        model = cells.solve(level)
-        if model is not None:
-            return OracleResult("sat", {v: model[v]
-                                        for v in range(1, cnf.nvars + 1)})
-    return OracleResult("unsat")
+    return CountEstimate(ests[len(ests) // 2], level, epsilon_trials, cell)

@@ -6,7 +6,8 @@ Three routes to a Skolem vector:
                   smallest satisfying output tuple (Y_1 most significant);
                   size grows with 2^m, fine for small m.
 * synth_cover  -- greedy covering-set construction driven by XOR-hash
-                  counting and sampling; polynomial in the image size k.
+                  counting, sampling from the counted cells; polynomial
+                  in the image size k.
 * synth_unique_bit -- learns a single uniquely-defined output bit by
                   sampling consistent bounded-size circuits and majority
                   voting, with a counterexample loop.
@@ -25,8 +26,7 @@ from .circuits import (Builder, Circuit, SkolemVector, sweep,
                        vector_from_circuits)
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
-from .oracle import (Oracle, approx_count_projected, labeled_rng,
-                     sample_projected)
+from .oracle import Oracle, approx_count_projected, labeled_rng
 from .solver import ResourceLimitError
 from .verify import check_unique
 
@@ -163,11 +163,13 @@ def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
 
 def synth_cover(spec: Specification, oracle: Oracle = None,
                 k_guess0: int = 1, seed=0) -> tuple:
-    """Greedy covering set via hash counting/sampling, then a selector.
+    """Greedy covering set via hash counting, then a selector.
 
-    Doubles the image-size guess k whenever S' outgrows the 2k(n+2)
-    budget for the current guess.  Certified by a final unsat query on
-    the uncovered formula.
+    Each element is the y of a model drawn from the counted cell of the
+    uncovered formula (see approx_count_projected), so no solve is made
+    beyond counting.  Doubles the image-size guess k whenever S'
+    outgrows the 2k(n+2) budget for the current guess.  Certified by a
+    final unsat query on the uncovered formula.
     """
     oracle = oracle or Oracle()
     k = max(1, k_guess0)
@@ -184,12 +186,8 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
         if est.estimate == 0:
             # 0 only from an unsat level-0 solve: certified complete
             break
-        hb = max(0, math.ceil(math.log2(max(1, est.estimate / (2 * k)))))
-        res = sample_projected(uncov, spec.x_vars, hb, seed, oracle,
-                               label=f"cover/{len(elements)}")
-        if not res.is_sat:
-            break
-        ybits = tuple(res.model[v] for v in spec.y_vars)
+        model = labeled_rng(seed, f"cover/{len(elements)}").choice(est.cell)
+        ybits = tuple(model[v] for v in spec.y_vars)
         assert ybits not in elements
         elements.append(ybits)
         tseitin(substitute(spec, list(ybits)), lambda v: v, uncov,
@@ -382,9 +380,9 @@ def count_consistent(encoding: CircuitEncoding) -> int:
 def sample_candidate_pool(encoding: CircuitEncoding, count: int,
                           oracle: Oracle = None, seed=0) -> list:
     """`count` near-uniform consistent circuits: an exact draw from the
-    masks when the encoding has them, XOR-hash cells otherwise."""
+    masks when the encoding has them, otherwise draws with replacement
+    from the counted cell of the CNF (see approx_count_projected)."""
     oracle = oracle or Oracle()
-    circuits = []
     if encoding.masks is not None:
         # exactly uniform: pick a skeleton weighted by its consistent
         # table count, then a uniform consistent table combo inside it
@@ -393,6 +391,7 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
             raise InconsistentEncodingError(
                 "no circuit of this size fits the counterexamples")
         rng = labeled_rng(seed, "pool/vector")
+        circuits = []
         for _ in range(count):
             j = rng.choices(range(len(weights)), weights=weights)[0]
             combo = int(np.flatnonzero(encoding.masks[j])[
@@ -409,15 +408,8 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
     if est.estimate == 0:
         raise InconsistentEncodingError(
             "no circuit of this size fits the counterexamples")
-    hb = max(0, est.estimate.bit_length() - 4)
-    for j in range(count):
-        res = sample_projected(encoding.cnf, encoding.structure_vars, hb,
-                               seed, oracle, label=f"pool/{j}")
-        if not res.is_sat:
-            raise InconsistentEncodingError(
-                "no circuit of this size fits the counterexamples")
-        circuits.append(encoding.decode(res.model))
-    return circuits
+    rng = labeled_rng(seed, "pool/cell")
+    return [encoding.decode(model) for model in rng.choices(est.cell, k=count)]
 
 
 def majority_hypothesis(pool: list) -> Circuit:

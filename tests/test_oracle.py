@@ -9,7 +9,7 @@ import skolemkit.oracle as oracle_mod
 from skolemkit.cnf import Cnf
 from skolemkit.oracle import (ExternalSolverError, Oracle,
                               approx_count_projected, labeled_rng,
-                              sample_projected, solve_external)
+                              solve_external)
 from skolemkit.solver import ResourceLimitError, Solver
 
 
@@ -144,7 +144,7 @@ def solver_runs(monkeypatch):
     return runs
 
 
-def test_calls_equal_solver_runs(solver_runs):
+def test_calls_equal_solver_runs(monkeypatch, solver_runs):
     rng = random.Random(29)
     empty = Cnf(2)
     empty.add([])
@@ -158,7 +158,11 @@ def test_calls_equal_solver_runs(solver_runs):
         list(o.enumerate(cnf, proj))
         list(o.enumerate(cnf, proj[:3], limit=2))
         approx_count_projected(cnf, proj, seed=seed, oracle=o)
-        sample_projected(cnf, proj, 3, seed, o, label="t")
+        with monkeypatch.context() as mp:
+            # a pivot of 1 often needs trials that only supply the cell
+            mp.setattr(oracle_mod, "PIVOT", 1)
+            approx_count_projected(cnf, proj, epsilon_trials=1, seed=seed,
+                                   oracle=o)
         assert o.calls == len(solver_runs) - before
 
 
@@ -200,6 +204,15 @@ def cell_of(points, rows):
                    for mask, p in rows)]
 
 
+class DrawnRows(oracle_mod._NestedCells):
+    """_NestedCells that encodes each row as drawn, without reducing it."""
+
+    def _draw_row(self):
+        mask = sum(self.rng.getrandbits(1) << i
+                   for i in range(len(self.proj)))
+        self._add_row(mask, self.rng.getrandbits(1))
+
+
 def test_nested_cell_counts_match_brute_force(monkeypatch):
     # levels probed in any order, deeper or shallower than the last, count
     # min(|cell|, PIVOT + 1) of the cell cut by the trial's first drawn
@@ -211,9 +224,8 @@ def test_nested_cell_counts_match_brute_force(monkeypatch):
         cnf = random_cnf(rng, rng.randint(3, 7), factor=0.7)
         proj = list(range(1, cnf.nvars + 1))
         models = projected_models(cnf, proj)
-        drawn, cells = (oracle_mod._NestedCells(
-            cnf, proj, labeled_rng(t, "cells"), Oracle(), reduce_rows=r)
-            for r in (False, True))
+        drawn, cells = (cls(cnf, proj, labeled_rng(t, "cells"), Oracle())
+                        for cls in (DrawnRows, oracle_mod._NestedCells))
         for level in [rng.randint(0, len(proj)) for _ in range(8)]:
             got = drawn.count(level), cells.count(level)
             cell = cell_of(models, drawn.rows[:level])
@@ -237,8 +249,7 @@ def test_dependent_rows_add_no_assumption_or_empty_the_cell():
         for level in range(1, 13):
             o = Oracle()
             cells = oracle_mod._NestedCells(Cnf(3), [1, 2, 3],
-                                            labeled_rng(t, "dependent"), o,
-                                            reduce_rows=True)
+                                            labeled_rng(t, "dependent"), o)
             model = cells.solve(level)
             assert sum(a is not None for a in cells.assumptions) <= 3
             if cells.assumptions[level - 1] is not None:
@@ -270,11 +281,7 @@ def test_reduced_rows_keep_every_estimate(monkeypatch):
                 for seed, cnf in enumerate(cnfs)]
         return [(e.estimate, e.hash_bits, e.trials) for e in ests]
     reduced = estimates()
-    plain = oracle_mod._NestedCells
-    monkeypatch.setattr(
-        oracle_mod, "_NestedCells",
-        lambda cnf, proj, rng, oracle, reduce_rows=False:
-            plain(cnf, proj, rng, oracle))
+    monkeypatch.setattr(oracle_mod, "_NestedCells", DrawnRows)
     assert estimates() == reduced
     assert sum(hash_bits > 0 for _, hash_bits, _ in reduced) >= 20
 
@@ -352,76 +359,131 @@ def test_count_same_on_both_backends(monkeypatch, mini_solver):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling: a uniform draw from the counted cell
+
+def draw(cnf, proj, seed, oracle=None, trials=9):
+    """A model drawn from the counted cell, or None when cnf is unsat."""
+    est = approx_count_projected(cnf, proj, epsilon_trials=trials, seed=seed,
+                                 oracle=oracle)
+    if not est.estimate:
+        return None
+    return labeled_rng(seed, "draw").choice(est.cell)
+
+
+def saturated_cell(models, nproj, seed, t):
+    """(level, cell) of counting trial t, from its redrawn rows: the
+    smallest level whose cell holds at most PIVOT models, or nproj."""
+    rows = []
+    cell = models
+    rng = labeled_rng(seed, f"count/{t}")
+    while len(cell) > oracle_mod.PIVOT and len(rows) < nproj:
+        mask = sum(rng.getrandbits(1) << i for i in range(nproj))
+        rows.append((mask, rng.getrandbits(1)))
+        cell = set(cell_of(models, rows))
+    return len(rows), cell
+
+
+def test_count_cell_is_a_trials_saturated_cell(monkeypatch):
+    # the cell is the last counted trial's saturated cell with 0 < size <=
+    # PIVOT, or else that of the first later trial that has one
+    monkeypatch.setattr(oracle_mod, "PIVOT", 3)
+    rng = random.Random(71)
+    hashed = 0
+    for seed in range(40):
+        cnf = random_cnf(rng, rng.randint(3, 8), factor=0.6)
+        proj = list(range(1, rng.randint(2, cnf.nvars) + 1))
+        models = projected_models(cnf, proj)
+        if not models:
+            continue
+        est = approx_count_projected(cnf, proj, epsilon_trials=3, seed=seed)
+        got = [tuple(m[v] for v in proj) for m in est.cell]
+        assert 0 < len(got) <= oracle_mod.PIVOT
+        assert len(set(got)) == len(got)
+        for m in est.cell:
+            assert set(m) == set(range(1, cnf.nvars + 1))
+            for cl in cnf.clauses:
+                assert any(m[abs(l)] == (l > 0) for l in cl)
+        want = models
+        if len(models) > oracle_mod.PIVOT:
+            hashed += 1
+            cells = [saturated_cell(models, len(proj), seed, t)[1]
+                     for t in range(3)]
+            while not any(0 < len(c) <= oracle_mod.PIVOT for c in cells):
+                cells.append(saturated_cell(models, len(proj), seed,
+                                            len(cells))[1])
+            want = [c for c in cells if 0 < len(c) <= oracle_mod.PIVOT][-1]
+        assert set(got) == want
+    assert hashed >= 30
+
+
+def test_count_draw_only_trials(monkeypatch):
+    # models {000, 111} with a pivot of 1: a level-1 row of even weight
+    # keeps both points or neither, so trial 0 often has no usable cell;
+    # a later trial supplies the cell and leaves the estimate alone
+    monkeypatch.setattr(oracle_mod, "PIVOT", 1)
+    labels = []
+    rng = oracle_mod.labeled_rng
+
+    def recorded(seed, label):
+        labels.append(label)
+        return rng(seed, label)
+    monkeypatch.setattr(oracle_mod, "labeled_rng", recorded)
+    cnf = Cnf(3)
+    for a, b in ((1, 2), (2, 3), (3, 1)):
+        cnf.add([-a, b])
+    models = projected_models(cnf, [1, 2, 3])
+    assert models == {(0, 0, 0), (1, 1, 1)}
+    taken = 0
+    for seed in range(100):
+        labels.clear()
+        est = approx_count_projected(cnf, [1, 2, 3], epsilon_trials=1,
+                                     seed=seed)
+        level, cell = saturated_cell(models, 3, seed, 0)
+        extra = "count/1" in labels
+        assert extra == (len(cell) != 1)
+        taken += extra
+        assert len(est.cell) == 1 and est.trials == 1
+        assert est.hash_bits == level
+        assert est.estimate == (len(cell) << level if cell
+                                else 2 << (level - 1))
+    assert 0 < taken < 100
+
 
 def test_sample_hashbits_zero_is_plain_solve():
     cnf = Cnf(2)
     cnf.add([1])
-    res = sample_projected(cnf, [1, 2], 0, seed=5)
-    assert res.is_sat and res.model[1] == 1
+    est = approx_count_projected(cnf, [1, 2], seed=5)
+    assert est.hash_bits == 0 and len(est.cell) == 2
+    model = draw(cnf, [1, 2], seed=5)
+    assert model is not None and model[1] == 1
 
 
-def test_sample_unsat_cnf_costs_at_most_hash_bits_plus_one():
-    # every clause over 3 variables: unsat, but not at the root
-    unsat = Cnf(4)
-    for signs in itertools.product((1, -1), repeat=3):
-        unsat.add([s * v for s, v in zip(signs, (1, 2, 3))])
-    for hash_bits in range(5):
-        for seed in range(5):
-            o = Oracle()
-            res = sample_projected(unsat, [1, 2, 3, 4], hash_bits, seed, o)
-            assert not res.is_sat
-            assert o.calls <= hash_bits + 1
-
-
-def test_sample_models_satisfy_query():
+def test_sample_models_satisfy_query(monkeypatch):
+    # a pivot of 3 makes most of these cells hashed
+    monkeypatch.setattr(oracle_mod, "PIVOT", 3)
     rng = random.Random(3)
     for seed in range(20):
         cnf = random_cnf(rng, 6, factor=1.5)
-        res = sample_projected(cnf, list(range(1, 7)), 2, seed=seed)
-        if res.is_sat:
-            assert set(res.model) == set(range(1, cnf.nvars + 1))
+        model = draw(cnf, list(range(1, 7)), seed=seed)
+        assert (model is not None) == (brute_count(cnf, range(1, 7)) > 0)
+        if model is not None:
+            assert set(model) == set(range(1, cnf.nvars + 1))
             for cl in cnf.clauses:
-                assert any(res.model[abs(l)] == (l > 0) for l in cl)
+                assert any(model[abs(l)] == (l > 0) for l in cl)
 
 
 def test_sample_finds_lone_model():
-    # most cells of 2 rows miss the lone model; the sample still finds it
+    # a lone model is counted at level 0, so every draw finds it
     cnf = Cnf(2)
     cnf.add([1])
     cnf.add([2])
     for s in range(10):
-        res = sample_projected(cnf, [1, 2], 2, seed=s)
-        assert res.is_sat and (res.model[1], res.model[2]) == (1, 1)
-
-
-def test_sample_lies_in_deepest_nonempty_prefix_cell():
-    rng = random.Random(61)
-    for seed in range(30):
-        cnf = random_cnf(rng, 6, factor=1.0)
-        proj = [1, 2, 3, 4, 5]
-        hash_bits = seed % 5
-        res = sample_projected(cnf, proj, hash_bits, seed, label="t")
-        models = projected_models(cnf, proj)
-        assert res.is_sat == bool(models)
-        if not models:
-            continue
-        # redraw the rows: per row, a bit per projected variable, then
-        # the parity
-        draw = labeled_rng(seed, "t")
-        rows = []
-        for _ in range(hash_bits):
-            picks = [i for i in range(len(proj)) if draw.getrandbits(1)]
-            rows.append((picks, draw.getrandbits(1)))
-        cells = [{m for m in models
-                  if all(sum(m[i] for i in picks) % 2 == parity
-                         for picks, parity in rows[:level])}
-                 for level in range(hash_bits + 1)]
-        deepest = max(lv for lv in range(hash_bits + 1) if cells[lv])
-        assert tuple(res.model[v] for v in proj) in cells[deepest]
+        model = draw(cnf, [1, 2], seed=s)
+        assert model is not None and (model[1], model[2]) == (1, 1)
 
 
 def test_sample_exec_backend(monkeypatch, mini_solver):
+    monkeypatch.setattr(oracle_mod, "PIVOT", 3)
     processes = []
     run = subprocess.run
 
@@ -433,25 +495,26 @@ def test_sample_exec_backend(monkeypatch, mini_solver):
     for seed in range(4):
         cnf = random_cnf(rng, 4, factor=1.0)
         ext = Oracle(backend=f"exec:{mini_solver}", timeout=30)
-        res = sample_projected(cnf, [1, 2, 3, 4], 2, seed, ext)
-        assert res.is_sat == (brute_count(cnf, [1, 2, 3, 4]) > 0)
-        if res.is_sat:
-            assert set(res.model) == set(range(1, cnf.nvars + 1))
+        model = draw(cnf, [1, 2, 3, 4], seed, ext, trials=3)
+        assert (model is not None) == (brute_count(cnf, [1, 2, 3, 4]) > 0)
+        if model is not None:
+            assert set(model) == set(range(1, cnf.nvars + 1))
             for cl in cnf.clauses:
-                assert any(res.model[abs(l)] == (l > 0) for l in cl)
+                assert any(model[abs(l)] == (l > 0) for l in cl)
         assert ext.calls == len(processes)
         processes.clear()
 
 
 def test_sample_roughly_uniform():
-    # free space over 6 projected vars, hash to cells of ~2
+    # free space over 6 projected vars: 64 models, counted in cells of
+    # about 32
     cnf = Cnf(6)
     freq = collections.Counter()
     draws = 600
     for s in range(draws):
-        res = sample_projected(cnf, list(range(1, 7)), 5, seed=s)
-        if res.is_sat:
-            freq[tuple(res.model[v] for v in range(1, 7))] += 1
+        model = draw(cnf, list(range(1, 7)), seed=s, trials=1)
+        if model is not None:
+            freq[tuple(model[v] for v in range(1, 7))] += 1
     total = sum(freq.values())
     assert total > draws * 0.5
     expected = total / 64

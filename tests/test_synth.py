@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -214,6 +215,30 @@ def test_cover_solve_count_pinned(monkeypatch):
     assert oracle.calls == len(runs) <= 700
 
 
+def test_cover_solves_only_while_counting(monkeypatch):
+    # each element is drawn from a counted cell, so every solve of the
+    # cover loop runs inside approx_count_projected
+    depth, outside, inside = [0], [], []
+    count = synth_mod.approx_count_projected
+
+    def counting(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return count(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    solve = Solver.solve
+
+    def checked(self, *args, **kwargs):
+        (inside if depth[0] else outside).append(None)
+        return solve(self, *args, **kwargs)
+    monkeypatch.setattr(synth_mod, "approx_count_projected", counting)
+    monkeypatch.setattr(Solver, "solve", checked)
+    _, cover = synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0],
+                           Oracle(), 1, 1)
+    assert len(cover) == 4 and inside and not outside
+
+
 def test_build_cover_circuit_lex_in_sprime():
     rng = random.Random(9)
     for _ in range(10):
@@ -388,6 +413,27 @@ def test_pool_uniform_small_space():
         base[key] = base.get(key, 0) + 1
     total_b = sum(base.values())
     tv = 0.5 * sum(abs(freq.get(k, 0) / 2000 - base.get(k, 0) / total_b)
+                   for k in set(freq) | set(base))
+    assert tv <= 0.15
+
+
+def test_pool_xor_tier_uniform(monkeypatch):
+    # 64 structures computing 4 functions, just above PIVOT, so each pool
+    # is drawn from a hashed cell; one circuit per call, over 200 seeds
+    monkeypatch.setattr(synth_mod, "VECTOR_LIMIT", 0)
+    enc = encode_bounded_circuits(1, 1, 2, [])
+    assert enc.masks is None
+
+    def function(c):
+        return c.eval_masks(input_masks([("x", 1)]), width=2)[0]
+    base = collections.Counter(function(enc.decode_structure(*st))
+                               for st in brute_force_structures(enc))
+    assert sum(base.values()) == 64 and len(base) == 4
+    draws = 200
+    freq = collections.Counter(
+        function(sample_candidate_pool(enc, 1, Oracle(), seed=seed)[0])
+        for seed in range(draws))
+    tv = 0.5 * sum(abs(freq[k] / draws - base[k] / 64)
                    for k in set(freq) | set(base))
     assert tv <= 0.15
 

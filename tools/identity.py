@@ -23,6 +23,9 @@ label prefix ``extra/``:
 * the learner's XOR tier (``VECTOR_LIMIT`` set to 0): candidate pools
   and ``synth_unique_bit`` at fixed sizes, each with ``oracle.calls``;
 * ``slivovsky_synth`` on small specs whose every output bit is unique;
+* ``synth_cover`` then ``verify_skolem`` on specs with more than one y
+  per x (factor, trap) and on planted(16, 10, 4) seed 1, whose counting
+  trials end in empty cells;
 * ``write_qdimacs`` of one spec per generator family.
 """
 
@@ -93,7 +96,7 @@ def functions(out) -> list:
 
 def extra_jobs(workdir):
     """(label, run) for the code that the workloads do not reach."""
-    from skolemkit import benchgen, cli, interplab, synth
+    from skolemkit import benchgen, cli, interplab, synth, verify
     from skolemkit.circuits import Builder
     from skolemkit.formula import Specification, emit_skolem, write_qdimacs
     from skolemkit.oracle import Oracle
@@ -169,6 +172,21 @@ def extra_jobs(workdir):
             return [emit_skolem(vec), sizes]
         yield f"slivovsky/{name}", run
 
+    # synth_cover then verify_skolem: the verdict, |S'| and the vector
+    for name, make in [
+            ("factor-4", lambda: benchgen.gen_factor(4)),
+            ("trap-10-8-3", lambda: benchgen.gen_trap(
+                benchgen.TrapParams(10, 8, 3, seed=1))[0]),
+            ("planted-16", lambda: benchgen.gen_planted_cover(
+                16, 10, 4, seed=1)[0])]:
+        for cseed in (1, 2):
+            def run(make=make, cseed=cseed):
+                spec, oracle = make(), Oracle()
+                vec, cover = synth.synth_cover(spec, oracle, seed=cseed)
+                verdict = verify.verify_skolem(spec, vec, oracle).status
+                return [verdict, len(cover), emit_skolem(vec)]
+            yield f"cover/{name}/seed{cseed}", run
+
     # write_qdimacs of one spec per generator family
     for name, make in [
             ("bphp", lambda: benchgen.gen_bphp(benchgen.BphpParams(3, 1))),
@@ -185,6 +203,8 @@ def main(argv) -> int:
         print("usage: python3 tools/identity.py SRC_ROOT", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
+    # truth tables over 14 or more inputs print with more than 4300 digits
+    sys.set_int_max_str_digits(0)
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import tracing
     import workloads
