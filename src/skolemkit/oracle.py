@@ -9,9 +9,14 @@ Both rest on one primitive, _NestedCells: one sequence of random XOR
 rows over the projection, entered as parity literals on one incremental
 query, so its cells are nested (cell L+1 lies inside cell L) and each
 level's solves only assume the literals of its rows.  Every projected
-model found is kept and blocked, so no model is found twice.  Each
-drawn row is reduced by Gaussian elimination against the rows before
-it, in draw order: the same cells, cut by shorter parity chains.
+model found is kept and blocked, so no model is found twice; on
+"internal" the blocking clause leaves the solver's trail in place, so
+the next model of a cell is searched for without going back to level 0.
+Each drawn row is reduced by Gaussian elimination against the rows
+before it, in draw order: the same cells, cut by shorter parity chains.
+A formula that only loses models between counts, such as the cover
+loop's uncovered formula, keeps its trials open: each removed set is
+excluded from every trial's query and kept models.
 
 Counting follows ApproxMC2 (Chakraborty, Meel & Vardi, IJCAI 2016).  One
 row sequence per trial serves every level.  The trial's level is the
@@ -20,9 +25,10 @@ previous trial's level; the estimate is the median of count x 2^level,
 and its hash_bits is the last trial's level.  Sampling follows UniGen
 (Chakraborty, Meel & Vardi, DAC 2014): a saturated cell with at most
 PIVOT models has been enumerated in full, so a caller draws uniformly
-among its models, several draws per cell as in UniGen2 (Chakraborty,
-Fremont, Meel, Seshia & Vardi, TACAS 2015).  On "exec:" each solve is
-one process on a copy of the query with the assumptions as unit clauses.
+among its models, sorted by projection, several draws per cell as in
+UniGen2 (Chakraborty, Fremont, Meel, Seshia & Vardi, TACAS 2015).  On
+"exec:" each solve is one process on a copy of the query with the
+assumptions as unit clauses.
 
 Randomness: one integer seed drives everything; each derived stream is
 seeded from the string "seed/label" so results are reproducible and
@@ -38,7 +44,7 @@ import subprocess
 import tempfile
 import time
 
-from .cnf import Cnf, xor_literal
+from .cnf import Cnf, tseitin, xor_literal
 from .solver import Solver, ResourceLimitError
 
 
@@ -258,6 +264,9 @@ class _NestedCells:
     bit mask over proj, next to the model restricted to cnf's variables,
     so cell(level) is the kept models that pass its rows (a parity check,
     no solve), and count(level) adds the new models its solves find.
+    exclude(circuit) removes models from the formula while the session
+    stays open: the kept models and the marks of fully enumerated cells
+    stay valid, because the formula only loses models.
     """
 
     def __init__(self, cnf: Cnf, proj, rng, oracle: Oracle):
@@ -321,18 +330,38 @@ class _NestedCells:
                                for v, b in zip(self.proj, bits)])
         return model
 
-    def cell(self, level: int) -> list:
-        """The kept models in cell `level`, in the order found: all of
-        the cell's models once a count there stops below PIVOT + 1."""
+    def _kept_in(self, level: int) -> list:
+        """The kept models in cell `level`, in the order found."""
         while len(self.rows) < level:
             self._draw_row()
         rows = self.rows[:level]
         return [model for m, model in self.kept
                 if all((m & mask).bit_count() & 1 == p for mask, p in rows)]
 
+    def cell(self, level: int) -> list:
+        """The kept models in cell `level`, sorted by their projections
+        (the first variable of proj most significant): all of the cell's
+        models once a count there stops below PIVOT + 1."""
+        return sorted(self._kept_in(level),
+                      key=lambda model: [model[v] for v in self.proj])
+
+    def exclude(self, circuit):
+        """Remove from the formula the models that circuit, over cnf's
+        variables, is 1 on.  Its negation is Tseitin-encoded into the
+        work CNF, whose ids already run past cnf's through the chain
+        variables, and enters the query; the kept models it is 1 on are
+        dropped.  The formula only loses models, so every kept model,
+        complete mark and unsat answer stays valid."""
+        n0 = len(self.work.clauses)
+        tseitin(circuit, lambda v: v, self.work, assert_outputs=[0])
+        for clause in self.work.clauses[n0:]:
+            self.query.add_clause(clause)
+        self.kept = [(m, model) for m, model in self.kept
+                     if not circuit.eval(model)[0]]
+
     def count(self, level: int) -> int:
         """Projected models in cell `level`, capped at PIVOT + 1."""
-        n = len(self.cell(level))
+        n = len(self._kept_in(level))
         while n <= PIVOT and self.solve(level) is not None:
             n += 1
         return min(n, PIVOT + 1)
@@ -371,7 +400,8 @@ class _NestedCells:
 
 def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
                            seed=0, oracle: Oracle = None,
-                           level_hint: int = None) -> CountEstimate:
+                           level_hint: int = None,
+                           trials: dict = None) -> CountEstimate:
     """ApproxMC2-style projected count: the median over trials of the
     saturated cell's count x 2^level, with a cell to sample from.
 
@@ -390,6 +420,15 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     (Chakraborty, Meel & Vardi, DAC 2014).  When no trial has such a cell
     (it came out empty, or still overflows at level len(proj)), trials
     t >= epsilon_trials run until one has; they only supply the cell.
+    The cell is sorted by projection, so a draw from it depends only on
+    the cell's set of models, not on the order the search found them.
+
+    trials maps t to trial t's open _NestedCells: a trial found there is
+    reused, and a trial opened here is stored there.  A caller whose cnf
+    only loses models between counts passes the same dict each time and
+    excludes each removed set from every open trial (_NestedCells.exclude);
+    trial t draws the same rows every time, so every count, level, cell
+    and estimate is that of a fresh count.
     """
     if epsilon_trials < 1:
         raise ValueError(f"counting needs at least 1 trial, got "
@@ -398,14 +437,17 @@ def approx_count_projected(cnf: Cnf, proj, epsilon_trials: int = 9,
     oracle = oracle or Oracle()
     level = level_hint or 0
     ests, cell = [], []
+    trials = {} if trials is None else trials
     t = 0
     # past epsilon_trials the formula has more than PIVOT models (level 0
     # would have returned), so a trial's cell is empty or overflows with
     # probability about 1/2 at most (the last row's parity bit), and the
     # loop ends
     while len(ests) < epsilon_trials or not cell:
-        cells = _NestedCells(cnf, proj, labeled_rng(seed, f"count/{t}"),
-                             oracle)
+        cells = trials.get(t)
+        if cells is None:
+            cells = trials[t] = _NestedCells(
+                cnf, proj, labeled_rng(seed, f"count/{t}"), oracle)
         lv = cells.saturation_level(level)
         n = cells.count(lv)
         if lv == 0:

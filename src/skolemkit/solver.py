@@ -71,6 +71,7 @@ class Solver:
         self.empty_chain = None  # chain deriving the empty clause
         self.conflicts = 0
         self.pending_units: list = []  # (lit, clause) to enqueue at level 0
+        self.resume = None  # assumptions of the SAT answer the trail holds
         if cnf is not None:
             self.ensure_vars(cnf.nvars)
             for c in cnf.clauses:
@@ -104,7 +105,16 @@ class Solver:
 
     def add_clause(self, lits, _learned=False, _chain=None):
         """Add a clause.  External calls must happen between solve() calls;
-        the solver backtracks to the root level first."""
+        the solver backtracks to the root level first, except for a
+        clause that the total assignment of a SAT answer falsifies, such
+        as a blocking clause.  Outside proof mode that clause is attached
+        like a learned one: the solver backjumps to its second-highest
+        level and asserts its top literal when that is alone on its
+        level, or else backjumps to one below the top level.  The next
+        solve under the same assumptions then goes on from the trail, so
+        a cell's models are enumerated without restarts (Toda & Soh, ACM
+        JEA 2016).  A blocking clause is not implied, so a proof-logging
+        solver always takes the root-level path."""
         clause = list(dict.fromkeys(lits))
         self.ensure_vars(max(map(abs, clause), default=0))
         if not set(clause).isdisjoint(map(neg, clause)):
@@ -120,8 +130,19 @@ class Solver:
             if len(clause) > 1:
                 self._watch(cl, clause[0], clause[1])
             return cl
+        vals, level = self.vals, self.level
+        if (self.trail_lim and not self.log_proof and len(clause) > 1
+                and all(vals[l] is False for l in clause)):
+            clause.sort(key=lambda l: -level[abs(l)])
+            top, second = level[abs(clause[0])], level[abs(clause[1])]
+            if top:
+                cl = _Clause(tuple(clause))
+                self._backjump(second if top > second else top - 1)
+                self._watch(cl, clause[0], clause[1])
+                if top > second:
+                    self._enqueue(clause[0], cl)
+                return cl
         self._backjump(0)
-        vals = self.vals
         nonfalse = [l for l in clause if vals[l] is not False]
         if not nonfalse:
             self.unsat = True
@@ -320,7 +341,10 @@ class Solver:
         self.ensure_vars(max(map(abs, assumptions), default=0))
         if self.unsat:
             return False
-        self._backjump(0)
+        assumptions = tuple(assumptions)
+        if self.log_proof or assumptions != self.resume:
+            self._backjump(0)
+        self.resume = None
         vals = self.vals
         for lit, cl in self.pending_units:
             val = vals[lit]
@@ -384,6 +408,7 @@ class Solver:
                 continue
             var = self._pick_branch_var()
             if var is None:
+                self.resume = assumptions
                 return True
             trail_lim.append(len(trail))
             self._enqueue(var if saved[var] else -var, None)

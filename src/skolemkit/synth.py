@@ -177,10 +177,11 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
     estimates = []
     level = None
     uncov = spec.cnf.copy()     # F(X,Y) & AND_{y in S'} ~F(X,y)
+    trials = {}                 # counting trials, open across iterations
     while True:
         est = approx_count_projected(
             uncov, spec.x_vars, epsilon_trials=COUNT_TRIALS,
-            seed=seed, oracle=oracle, level_hint=level)
+            seed=seed, oracle=oracle, level_hint=level, trials=trials)
         estimates.append(est.estimate)
         level = est.hash_bits
         if est.estimate == 0:
@@ -190,8 +191,10 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
         ybits = tuple(model[v] for v in spec.y_vars)
         assert ybits not in elements
         elements.append(ybits)
-        tseitin(substitute(spec, list(ybits)), lambda v: v, uncov,
-                assert_outputs=[0])
+        covered = substitute(spec, list(ybits))
+        tseitin(covered, lambda v: v, uncov, assert_outputs=[0])
+        for cells in trials.values():
+            cells.exclude(covered)
         if len(elements) > 2 * k * (spec.n + 2):
             k *= 2
             if k > 1 << spec.m:

@@ -135,6 +135,81 @@ def test_growing_session_against_brute_force():
     assert refutations > 20 and assumption_unsats > 10
 
 
+def brute_projections(cnf, proj, assumptions):
+    got = set()
+    for bits in itertools.product((0, 1), repeat=cnf.nvars):
+        model = dict(zip(range(1, cnf.nvars + 1), bits))
+        if all(model[abs(l)] == (l > 0) for l in assumptions) and all(
+                any(model[abs(l)] == (l > 0) for l in c) for c in cnf.clauses):
+            got.add(tuple(model[v] for v in proj))
+    return got
+
+
+def test_enumeration_without_restarts_against_brute_force():
+    # one non-proof Solver per CNF enumerates every projected model under
+    # an assumption set, a solve plus a blocking clause per model, which
+    # the solver attaches without going back to level 0; the assumption
+    # set changes between enumerations, each preceded by a solve under
+    # another set, and clauses over fresh variables arrive between and
+    # inside them.  A proof-logging twin answers every solve too, and its
+    # final refutation replays as a proof.
+    rng = random.Random(83)
+    resumed = 0
+    for _ in range(30):
+        ref = random_cnf(rng, nv=rng.randint(3, 6), factor=1.0)
+        s, twin = Solver(ref), Solver(ref, log_proof=True)
+
+        def add(cl):
+            for solver in (s, twin):
+                solver.add_clause(cl)
+            ref.add(cl)
+
+        def grow():
+            a, b = rng.sample(range(1, ref.nvars + 1), 2)
+            t = ref.fresh()
+            for cl in ([-t, a, b], [-t, -a, -b], [t, -a, b], [t, a, -b]):
+                add(cl)
+
+        # the last enumeration is unassumed over every variable, so it
+        # leaves the formula unsat
+        for last in [False] * 4 + [True]:
+            if ref.nvars < 9 and rng.getrandbits(1):
+                grow()
+            nv = ref.nvars
+            if last:
+                proj, assumptions = list(range(1, nv + 1)), []
+            else:
+                proj = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+                assumptions = [rng.choice([1, -1]) * v for v in rng.sample(
+                    range(1, nv + 1), rng.randint(0, 2))]
+            # a SAT answer under other assumptions leaves its trail behind
+            probe = [rng.choice([1, -1]) * v for v in rng.sample(
+                range(1, nv + 1), rng.randint(1, 2))]
+            assert s.solve(probe) == bool(brute_projections(ref, [], probe))
+            want = brute_projections(ref, proj, assumptions)
+            got = set()
+            while True:
+                sat = s.solve(assumptions)
+                assert twin.solve(assumptions) == sat
+                if not sat:
+                    break
+                model = s.model()
+                for cl in ref.clauses + [[l] for l in assumptions]:
+                    assert any(model[abs(l)] == (l > 0) for l in cl)
+                bits = tuple(model[v] for v in proj)
+                assert bits not in got
+                got.add(bits)
+                resumed += bool(s.trail_lim)
+                add([-v if b else v for v, b in zip(proj, bits)])
+                if ref.nvars < 9 and rng.random() < 0.1:
+                    grow()
+            assert got == want
+        assert brute_sat(ref) is None
+        assert not twin.solve()
+        assert check_proof(ref, expand_chains(twin))
+    assert resumed > 100
+
+
 def test_empty_clause_unsat():
     c = Cnf(1)
     c.add([])

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import skolemkit.synth as synth_mod
-from skolemkit.benchgen import gen_factor, gen_planted_cover
+from skolemkit.benchgen import (TrapParams, gen_factor, gen_planted_cover,
+                                gen_trap)
 from skolemkit.circuits import Builder, SkolemVector, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle, labeled_rng
@@ -202,7 +203,9 @@ def test_cover_planted_and_estimates_decrease():
 
 
 def test_cover_solve_count_pinned(monkeypatch):
-    # about 610 solves; counting each cell on a fresh query takes 1,033
+    # about 370 solves; about 610 when every iteration opens its trials
+    # afresh and every model of a cell restarts from level 0, and 1,033
+    # when each cell is counted on a fresh query
     runs = []
     solve = Solver.solve
 
@@ -212,7 +215,37 @@ def test_cover_solve_count_pinned(monkeypatch):
     monkeypatch.setattr(Solver, "solve", counted)
     oracle = Oracle()
     synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0], oracle, 1, 1)
-    assert oracle.calls == len(runs) <= 700
+    assert oracle.calls == len(runs) <= 400
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_planted_cover(12, 10, 4, seed=1)[0],
+    lambda: gen_factor(4),
+    lambda: gen_trap(TrapParams(10, 8, 3, seed=1))[0]],
+    ids=["planted", "factor", "trap"])
+def test_open_trials_count_like_fresh_trials(monkeypatch, make):
+    # the cover loop keeps its counting trials open across iterations;
+    # at every iteration a fresh count of the same uncovered formula
+    # gives the same estimate, level, trials and cell projections
+    count = synth_mod.approx_count_projected
+    counts = []
+
+    def compared(cnf, proj, **kwargs):
+        est = count(cnf, proj, **kwargs)
+        assert kwargs["trials"]     # the loop's dict, filled by the count
+        fresh = count(cnf, proj, **dict(kwargs, trials=None,
+                                         oracle=Oracle()))
+        assert ((est.estimate, est.hash_bits, est.trials)
+                == (fresh.estimate, fresh.hash_bits, fresh.trials))
+        assert ([[m[v] for v in proj] for m in est.cell]
+                == [[m[v] for v in proj] for m in fresh.cell])
+        counts.append(est.estimate)
+        return est
+    monkeypatch.setattr(synth_mod, "approx_count_projected", compared)
+    spec = make()
+    vec, cover = synth_cover(spec, Oracle(), seed=1)
+    assert verify_skolem(spec, vec).is_valid
+    assert len(counts) == len(cover) + 1 and counts[-1] == 0
 
 
 def test_cover_solves_only_while_counting(monkeypatch):

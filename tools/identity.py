@@ -9,7 +9,8 @@ process, and prints one JSON object: job label -> [sha1 of the job's
 outputs, Solver.solve calls], followed by the sha1 of the output truth
 tables when the job's output holds Skolem vectors or circuits (see
 ``functions``).  Reports are hashed without ``timing`` and
-``outputFile``, which vary from run to run.  Run it on two trees, for
+``outputFile``, which vary from run to run, and without the oracle's
+``calls``, which the solve count already holds.  Run it on two trees, for
 example a ``git archive`` of the parent commit and the working tree, and
 diff the outputs: a change that keeps the program's behaviour prints the
 same object on both, and a change that rewrites circuits but keeps what
@@ -45,11 +46,13 @@ VOLATILE = ("timing", "outputFile")
 TABLE_INPUTS = 16       # wider circuits (interpolants) are not tabulated
 
 
-def canonical(out):
-    """A JSON-ready form of a job's output."""
+def canonical(out, key=None):
+    """A JSON-ready form of a job's output.  A report's oracle calls are
+    left out: they are the job's solves, the record's second field."""
     if isinstance(out, dict):
-        return {k: canonical(v) for k, v in sorted(out.items())
-                if k not in VOLATILE}
+        return {k: canonical(v, k) for k, v in sorted(out.items())
+                if k not in VOLATILE
+                and not (key == "oracle" and k == "calls")}
     if isinstance(out, (list, tuple)):
         return [canonical(v) for v in out]
     if hasattr(out, "steps"):                   # ResolutionProof
