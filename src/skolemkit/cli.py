@@ -67,15 +67,13 @@ def _write_report(report: dict, dest: str):
             fh.write(text)
 
 
-def _base_report(args, oracle: Oracle = None) -> dict:
-    rep = {"command": args.command, "seed": getattr(args, "seed", None)}
-    if oracle is not None:
-        stats = oracle.stats()
-        rep["oracle"] = {"calls": stats["calls"],
-                         "maxQueryVars": stats["maxQueryVars"],
-                         "maxQueryClauses": stats["maxQueryClauses"]}
-        rep["timing"] = {"wallTime": stats["wallTime"]}
-    return rep
+def _base_report(args, oracle: Oracle) -> dict:
+    stats = oracle.stats()
+    return {"command": args.command, "seed": getattr(args, "seed", None),
+            "oracle": {"calls": stats["calls"],
+                       "maxQueryVars": stats["maxQueryVars"],
+                       "maxQueryClauses": stats["maxQueryClauses"]},
+            "timing": {"wallTime": stats["wallTime"]}}
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def _cmd_synth(args) -> int:
         except ValueError as e:
             raise UsageError(str(e))
     elif args.strategy == "cover":
-        vec, cover = synth.synth_cover(spec, oracle, args.k0, args.seed)
+        vec, cover = synth.synth_cover(spec, oracle, seed=args.seed)
     elif args.strategy == "unique":
         learned = []
         for i, circuit in synth.unique_bits(spec, oracle, args.d, args.seed):
@@ -108,10 +106,8 @@ def _cmd_synth(args) -> int:
             learned.append(circuit)
         vec = vector_from_circuits(spec.n, learned)
     else:  # auto
-        vec = synth.synth_auto(spec, oracle,
-                               {"seed": args.seed, "d": args.d,
-                                "k0": args.k0,
-                                "lex_limit": args.lex_limit})
+        vec = synth.synth_auto(spec, oracle, seed=args.seed, d=args.d,
+                               lex_limit=args.lex_limit)
     verdict = verify_skolem(spec, vec, oracle)
     report["circuitSize"] = vec.size
     if cover is not None:
@@ -251,15 +247,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="skolemkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, solver=True):
+    def common(sp):
         sp.add_argument("--json", default=None, metavar="PATH",
                         help="write the JSON run report ('-' for stdout)")
-        if solver:
-            sp.add_argument("--solver", default=None,
-                            help="internal or exec:COMMAND (default: exec:"
-                                 "$SKOLEMKIT_SOLVER if set, else internal)")
-            sp.add_argument("--timeout", type=float, default=None,
-                            help="per-query timeout for external solvers")
+        sp.add_argument("--solver", default=None,
+                        help="internal or exec:COMMAND (default: exec:"
+                             "$SKOLEMKIT_SOLVER if set, else internal)")
+        sp.add_argument("--timeout", type=float, default=None,
+                        help="per-query timeout for external solvers")
 
     sp = sub.add_parser("synth", help="synthesize a Skolem vector")
     sp.add_argument("spec")
@@ -270,8 +265,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--strategy", choices=["lex", "cover", "unique", "auto"],
                     default="auto")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--k0", type=int, default=1,
-                    help="initial image-size guess for cover synthesis")
     sp.add_argument("--d", type=int, default=4,
                     help="candidate-pool multiplicity for the learner")
     sp.add_argument("--lex-limit", type=int, default=synth.LEX_LIMIT)

@@ -110,14 +110,12 @@ class Oracle:
     Solver.solve run on "internal", a solver process on "exec:".
     """
 
-    def __init__(self, backend: str = "internal", max_conflicts: int = None,
-                 timeout: float = None):
+    def __init__(self, backend: str = "internal", *, timeout: float = None):
         if not (backend == "internal"
                 or backend.startswith("exec:") and backend[5:].strip()):
             raise ValueError(f"solver backend must be internal or "
                              f"exec:COMMAND, got {backend!r}")
         self.backend = backend
-        self.max_conflicts = max_conflicts
         self.timeout = timeout
         self.calls = 0
         self.wall_time = 0.0
@@ -148,7 +146,7 @@ class Oracle:
                     query = Cnf(query.nvars, query.clauses
                                 + [[a] for a in assumptions])
                 return solve_external(query, self.backend[5:], self.timeout)
-            if query.solve(assumptions, max_conflicts=self.max_conflicts):
+            if query.solve(assumptions):
                 return OracleResult("sat", query.model())
             return OracleResult("unsat")
         finally:

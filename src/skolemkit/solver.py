@@ -103,7 +103,7 @@ class Solver:
         self.watches[a].append(cl)
         self.watches[b].append(cl)
 
-    def add_clause(self, lits, _learned=False, _chain=None):
+    def add_clause(self, lits):
         """Add a clause.  External calls must happen between solve() calls;
         the solver backtracks to the root level first, except for a
         clause that the total assignment of a SAT answer falsifies, such
@@ -119,16 +119,10 @@ class Solver:
         self.ensure_vars(max(map(abs, clause), default=0))
         if not set(clause).isdisjoint(map(neg, clause)):
             return None  # tautology
-        cl = _Clause(tuple(clause), _chain)
+        cl = _Clause(tuple(clause))
         if not clause:
             self.unsat = True
             self.empty_chain = (cl, [])
-            return cl
-        if _learned:
-            # caller guarantees clause[0] is the asserting literal and
-            # clause[1] has the backjump level
-            if len(clause) > 1:
-                self._watch(cl, clause[0], clause[1])
             return cl
         vals, level = self.vals, self.level
         if (self.trail_lim and not self.log_proof and len(clause) > 1
@@ -157,6 +151,14 @@ class Solver:
                 self._watch(cl, nonfalse[0], rest[0])
         else:
             self._watch(cl, nonfalse[0], nonfalse[1])
+        return cl
+
+    def _learn(self, lits, chain) -> _Clause:
+        """Attach a learned clause of distinct literals over existing
+        variables, watching lits[0] and lits[1] (see solve)."""
+        cl = _Clause(tuple(lits), chain)
+        if len(lits) > 1:
+            self._watch(cl, lits[0], lits[1])
         return cl
 
     # ---------- assignment primitives ----------
@@ -384,10 +386,7 @@ class Solver:
                 # learned[0] is the one current-level literal (asserting),
                 # learned[1] a backjump-level literal
                 self._backjump(bj)
-                cl = self.add_clause(learned, _learned=True, _chain=chain)
-                if self.unsat:
-                    return False
-                self._enqueue(learned[0], cl)
+                self._enqueue(learned[0], self._learn(learned, chain))
                 if conflict_budget >= 100 * luby(restarts):
                     restarts += 1
                     conflict_budget = 0

@@ -36,7 +36,7 @@ COUNT_TRIALS = 3            # counting trials per cover iteration
 
 
 class BudgetExceededError(ResourceLimitError):
-    """A synthesis loop ran out of its iteration or size budget."""
+    """The unique-bit learner found no hypothesis up to its size bound."""
 
 
 class InconsistentEncodingError(Exception):
@@ -161,18 +161,16 @@ def build_cover_circuit(spec: Specification, cover: CoverSet) -> SkolemVector:
     return _swept_selector(spec, sorted(cover.elements))
 
 
-def synth_cover(spec: Specification, oracle: Oracle = None,
-                k_guess0: int = 1, seed=0) -> tuple:
+def synth_cover(spec: Specification, oracle: Oracle = None, *,
+                seed=0) -> tuple:
     """Greedy covering set via hash counting, then a selector.
 
     Each element is the y of a model drawn from the counted cell of the
     uncovered formula (see approx_count_projected), so no solve is made
-    beyond counting.  Doubles the image-size guess k whenever S'
-    outgrows the 2k(n+2) budget for the current guess.  Certified by a
-    final unsat query on the uncovered formula.
+    beyond counting.  Certified by a final unsat query on the uncovered
+    formula.
     """
     oracle = oracle or Oracle()
-    k = max(1, k_guess0)
     elements = []
     estimates = []
     level = None
@@ -195,11 +193,6 @@ def synth_cover(spec: Specification, oracle: Oracle = None,
         tseitin(covered, lambda v: v, uncov, assert_outputs=[0])
         for cells in trials.values():
             cells.exclude(covered)
-        if len(elements) > 2 * k * (spec.n + 2):
-            k *= 2
-            if k > 1 << spec.m:
-                raise BudgetExceededError(
-                    f"cover budget exhausted at k={k}")
     cover = CoverSet(elements, estimates)
     return build_cover_circuit(spec, cover), cover
 
@@ -526,24 +519,21 @@ def unique_bits(spec: Specification, oracle: Oracle, d: int = 4, seed=0):
             yield i, None
 
 
-def synth_auto(spec: Specification, oracle: Oracle = None,
-               cfg: dict = None) -> SkolemVector:
+def synth_auto(spec: Specification, oracle: Oracle = None, *, seed=0,
+               d: int = 4, lex_limit: int = LEX_LIMIT) -> SkolemVector:
     """Dispatch: small m -> lex; unique bits learned; rest covered.
 
     The result is not verified here; callers check it with verify_skolem.
     """
-    cfg = cfg or {}
     oracle = oracle or Oracle()
-    lex_limit = cfg.get("lex_limit", LEX_LIMIT)
-    seed = cfg.get("seed", 0)
     if spec.m <= lex_limit:
         return synth_lex(spec, m_limit=lex_limit)
-    psis = {i: c for i, c in unique_bits(spec, oracle, cfg.get("d", 4), seed)
+    psis = {i: c for i, c in unique_bits(spec, oracle, d, seed)
             if c is not None}
     rest = [i for i in range(1, spec.m + 1) if i not in psis]
     if rest:
         residual = _residual_spec(spec, psis, rest)
-        vec_rest, _ = synth_cover(residual, oracle, cfg.get("k0", 1), seed)
+        vec_rest, _ = synth_cover(residual, oracle, seed=seed)
         for pos, i in enumerate(rest, start=1):
             psis[i] = vec_rest.psi(pos)  # over X only
     return vector_from_circuits(spec.n,

@@ -162,7 +162,7 @@ def test_criterion_04_cover_synthesis():
             runs += 1
             spec, targets = gen_planted_cover(n, m, k, seed=seed)
             oracle = Oracle()
-            vec, cover = synth_cover(spec, oracle, k_guess0=1, seed=seed)
+            vec, cover = synth_cover(spec, oracle, seed=seed)
             good = (cover.uncovered_estimates[-1] == 0
                     and len(cover) <= 2 * k * (n + 2)
                     and set(cover.elements) <= set(

@@ -323,7 +323,7 @@ def test_report_determinism(tmp_path):
         rep = tmp_path / f"{tag}.json"
         out = tmp_path / f"{tag}.skolem"
         assert main(["synth", str(spec), "--strategy", "cover",
-                     "--k0", "3", "--seed", "9", "-o", str(out),
+                     "--seed", "9", "-o", str(out),
                      "--json", str(rep)]) == 0
         r = strip_timing(read_json(str(rep)))
         r.pop("outputFile")

@@ -193,13 +193,28 @@ def test_cover_unsat_spec():
 def test_cover_planted_and_estimates_decrease():
     spec, targets = gen_planted_cover(8, 6, 4, seed=5)
     oracle = Oracle()
-    vec, cover = synth_cover(spec, oracle, k_guess0=4, seed=5)
+    vec, cover = synth_cover(spec, oracle, seed=5)
     assert verify_skolem(spec, vec, oracle).is_valid
     assert set(cover.elements) == set(targets)
     assert len(cover) <= 2 * 4 * (8 + 2)
     ests = cover.uncovered_estimates
     assert ests[-1] == 0
     assert all(a > b for a, b in zip(ests, ests[1:]))
+
+
+def test_cover_covers_every_output():
+    # F = AND_j (y_j <-> x_j): every one of the 2^5 tuples is needed, so
+    # the loop runs far past 2(n+2) elements; each uncovered count is at
+    # most PIVOT, hence exact
+    b = Builder()
+    spec = Specification(list(range(1, 6)), list(range(6, 11)),
+                         b.extract([b.and_many(
+                             b.xnor_(b.inp(j), b.inp(j + 5))
+                             for j in range(1, 6))]))
+    vec, cover = synth_cover(spec, Oracle(), seed=1)
+    assert len(cover) == 32
+    assert cover.uncovered_estimates == list(range(32, -1, -1))
+    assert verify_skolem(spec, vec).is_valid
 
 
 def test_cover_solve_count_pinned(monkeypatch):
@@ -214,7 +229,7 @@ def test_cover_solve_count_pinned(monkeypatch):
         return solve(self, *args, **kwargs)
     monkeypatch.setattr(Solver, "solve", counted)
     oracle = Oracle()
-    synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0], oracle, 1, 1)
+    synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0], oracle, seed=1)
     assert oracle.calls == len(runs) <= 400
 
 
@@ -268,7 +283,7 @@ def test_cover_solves_only_while_counting(monkeypatch):
     monkeypatch.setattr(synth_mod, "approx_count_projected", counting)
     monkeypatch.setattr(Solver, "solve", checked)
     _, cover = synth_cover(gen_planted_cover(12, 10, 4, seed=1)[0],
-                           Oracle(), 1, 1)
+                           Oracle(), seed=1)
     assert len(cover) == 4 and inside and not outside
 
 
@@ -613,7 +628,7 @@ def test_learner_guard_non_unique():
 def test_auto_lex_path():
     rng = random.Random(61)
     spec = random_spec(rng, 3, 3)
-    vec = synth_auto(spec, Oracle(), {"lex_limit": 6})
+    vec = synth_auto(spec, Oracle(), lex_limit=6)
     assert verify_skolem(spec, vec).is_valid
 
 
@@ -632,7 +647,7 @@ def test_auto_passes_lex_limit_to_synth_lex(monkeypatch):
     seen = []
     monkeypatch.setattr(synth_mod, "synth_lex",
                         lambda spec, m_limit=None: seen.append(m_limit))
-    synth_auto(random_spec(random.Random(3), 2, 3), cfg={"lex_limit": 20})
+    synth_auto(random_spec(random.Random(3), 2, 3), lex_limit=20)
     assert seen == [20]
 
 
@@ -642,7 +657,7 @@ def test_auto_mixed_path():
     spec = Specification(
         [1], [2, 3],
         b.extract([b.xnor_(b.inp(1), b.inp(2))]))
-    vec = synth_auto(spec, Oracle(), {"lex_limit": 0, "seed": 5})
+    vec = synth_auto(spec, Oracle(), lex_limit=0, seed=5)
     assert verify_skolem(spec, vec).is_valid
 
 
@@ -652,6 +667,6 @@ def test_auto_learned_bit_between_free_bits():
     b = Builder()
     spec = Specification([1], [2, 3, 4],
                          b.extract([b.xnor_(b.inp(1), b.inp(3))]))
-    vec = synth_auto(spec, Oracle(), {"lex_limit": 0, "seed": 5})
+    vec = synth_auto(spec, Oracle(), lex_limit=0, seed=5)
     assert verify_skolem(spec, vec).is_valid
     assert [vec.eval([x])[1] for x in (0, 1)] == [0, 1]

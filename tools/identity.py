@@ -22,7 +22,7 @@ label prefix ``extra/``:
 * ``skolemkit count`` reports on planted and factor specs written by
   ``skolemkit gen``;
 * the learner's XOR tier (``VECTOR_LIMIT`` set to 0): candidate pools
-  and ``synth_unique_bit`` at fixed sizes, each with ``oracle.calls``;
+  and ``synth_unique_bit`` at fixed sizes;
 * ``slivovsky_synth`` on small specs whose every output bit is unique;
 * ``synth_cover`` then ``verify_skolem`` on specs with more than one y
   per x (factor, trap) and on planted(16, 10, 4) seed 1, whose counting
@@ -137,20 +137,17 @@ def extra_jobs(workdir):
                 (3, 1, 1, [((1, 0, 1), (1,)), ((0, 0, 1), (0,))]),
                 (1, 2, 2, [((1,), (0, 1)), ((0,), (1, 0))])]:
             def run(n=n, i=i, s=s, cases=cases):
-                oracle = Oracle()
                 enc = synth.encode_bounded_circuits(n, i, s, cases)
-                pool = synth.sample_candidate_pool(enc, 4, oracle, seed=5)
-                return [pool, oracle.calls]
+                return synth.sample_candidate_pool(enc, 4, Oracle(), seed=5)
             yield f"xor/pool/n{n}i{i}s{s}", run
         for op in ("and_", "xor_"):
             for s in (1, 2):
                 def run(op=op, s=s):
-                    oracle, b = Oracle(), Builder()
+                    b = Builder()
                     spec = Specification([1, 2], [3], b.extract([b.xnor_(
                         b.inp(3), getattr(b, op)(b.inp(1), b.inp(2)))]))
-                    h = synth.synth_unique_bit(spec, 1, oracle, s0=s,
-                                               max_s=s)
-                    return [h, oracle.calls]
+                    return synth.synth_unique_bit(spec, 1, Oracle(), s0=s,
+                                                  max_s=s)
                 yield f"xor/unique/{op}/s{s}", run
     finally:
         synth.VECTOR_LIMIT = limit
