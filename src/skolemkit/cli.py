@@ -41,6 +41,12 @@ class UsageError(Exception):
     pass
 
 
+def positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def _make_oracle(args) -> Oracle:
     """The run's oracle; without --solver, a set SKOLEMKIT_SOLVER means
     exec:$SKOLEMKIT_SOLVER.  Oracle rejects an unknown backend."""
@@ -95,11 +101,9 @@ def _cmd_synth(args) -> int:
         learned = []
         for i, circuit in synth.unique_bits(spec, oracle, args.d, args.seed):
             if circuit is None:
-                report["failedBit"] = i
-                rep = _base_report(args, oracle)
-                rep.update(report)
-                rep["verdict"] = "not-unique"
-                _write_report(rep, args.json)
+                _write_report({**_base_report(args, oracle), **report,
+                               "failedBit": i, "verdict": "not-unique"},
+                              args.json)
                 print(f"Y_{i} is not uniquely defined; "
                       f"unique strategy inapplicable", file=sys.stderr)
                 return EXIT_COUNTEREXAMPLE
@@ -119,9 +123,7 @@ def _cmd_synth(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(emit_skolem(vec, args.format))
         report["outputFile"] = args.output
-    rep = _base_report(args, oracle)
-    rep.update(report)
-    _write_report(rep, args.json)
+    _write_report({**_base_report(args, oracle), **report}, args.json)
     if not verdict.is_valid:
         print("synthesized vector failed verification", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
@@ -265,7 +267,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--strategy", choices=["lex", "cover", "unique", "auto"],
                     default="auto")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--d", type=int, default=4,
+    sp.add_argument("--d", type=positive, default=4,
                     help="candidate-pool multiplicity for the learner")
     sp.add_argument("--lex-limit", type=int, default=synth.LEX_LIMIT)
     common(sp)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .circuits import (Builder, Circuit, SkolemVector, sweep,
+from .circuits import (Builder, Circuit, SkolemVector, input_masks, sweep,
                        vector_from_circuits)
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
@@ -203,13 +203,65 @@ def synth_cover(spec: Specification, oracle: Oracle = None, *,
 VECTOR_LIMIT = 1 << 24      # max skeletons x table-combos for exact work
 
 
+def _operand_pairs(p: int, s: int) -> list:
+    """Per gate, its operand slots (a, b), a < b; (0, 0) if only slot 0."""
+    return [list(itertools.combinations(range(p + t), 2)) or [(0, 0)]
+            for t in range(s)]
+
+
+def _function_table(p: int, s: int) -> tuple:
+    """The structures of s gates over p input slots, grouped by the input
+    slots their skeleton reads and their truth table over those slots.
+
+    Returns (slots, read, tables, weights, reps): per read set, its slots
+    in input_masks order; per group, its read set's row, its table, its
+    number of structures and its first structure, as an index into
+    (operand pair per gate, table per gate).  Skeletons that read slots
+    in the same pattern share one evaluation of all table combos, gate
+    t's table on axis t.
+    """
+    combos = np.arange(16 ** s, dtype=np.int32)
+    if p == 1:      # a one-operand gate has no mixed truth-table entries
+        combos = combos[(combos >> 4 * (s - 1) & 0b0110) == 0]
+    bits = [[-((np.arange(16) >> k) & 1).reshape((16,) + (1,) * (s - 1 - t))
+             for k in range(4)] for t in range(s)]
+    rows, shapes, parts = {}, {}, []
+    for k, skeleton in enumerate(itertools.product(*_operand_pairs(p, s))):
+        slots = tuple(sorted({v for ab in skeleton for v in ab if v < p}))
+        w = len(slots)
+        shape = (w, tuple(tuple(slots.index(v) if v < p else v - p + w
+                                for v in ab) for ab in skeleton))
+        if shape not in shapes:
+            full = (1 << (1 << w)) - 1
+            vals = list(input_masks(range(w)).values())
+            for (a, b), (b0, b1, b2, b3) in zip(shape[1], bits):
+                va, vb = vals[a], vals[b]
+                na, nb = full ^ va, full ^ vb
+                vals.append(b0 & (na & nb) | b1 & (na & vb)
+                            | b2 & (va & nb) | b3 & (va & vb))
+            out = np.broadcast_to(vals[-1], (16,) * s).ravel()[combos]
+            out = out.astype(np.min_scalar_type(full))  # sorts faster
+            tables, first, counts = np.unique(out, return_index=True,
+                                              return_counts=True)
+            shapes[shape] = tables, combos[first], counts.astype(np.int32)
+        tables, first, counts = shapes[shape]
+        parts.append((np.full(len(tables), rows.setdefault(slots, len(rows))),
+                      tables, counts, k * 16 ** s + first))
+    read, tables, counts, reps = map(np.concatenate, zip(*parts))
+    keys, first, inverse = np.unique(read << 32 | tables, return_index=True,
+                                     return_inverse=True)
+    return (tuple(rows), keys >> 32, keys & 0xFFFFFFFF,
+            np.bincount(inverse, counts).astype(np.int64), reps[first])
+
+
 class CircuitEncoding:
     """The circuits of exactly s gates over X u Y^{1:i-1} consistent with
     the counterexamples added so far, in one form chosen by space size.
 
-    * masks (exact tier, skeletons x table-combos <= VECTOR_LIMIT): one
-      boolean row per gate-operand skeleton (in itertools.product order)
-      over the 16^s table combos, True where the combo is consistent.
+    * weights (exact tier, skeletons x table-combos <= VECTOR_LIMIT): per
+      group of the table of (p, s) (see _function_table, built with the
+      encoding), its number of consistent structures.  A group's
+      structures compute one function, so a case keeps or zeroes it.
     * cnf (XOR tier, otherwise): per gate, a one-hot choice among ordered
       operand pairs (inputs and strictly earlier gates) plus 4 truth-table
       bits; the last gate is the output.  A gate with a single operand
@@ -220,36 +272,16 @@ class CircuitEncoding:
     """
 
     def __init__(self, n: int, i: int, s: int):
-        self.n = n
-        self.i = i
-        self.s = s
+        self.n, self.i, self.s = n, i, s
         self.p = max(1, n + i - 1)  # input slots: X then Y_1..Y_{i-1}
         self.cases = []     # (input bits, target bit) per counterexample
-        self.pairs = []     # per gate: list of (a, b) operand slots
-        self.space_size = 1
-        for t in range(s):
-            items = self.p + t
-            if items >= 2:
-                pairs = [(a, b) for a in range(items)
-                         for b in range(a + 1, items)]
-                factor = 16
-            else:
-                pairs = [(0, 0)]
-                factor = 4
-            self.pairs.append(pairs)
-            self.space_size *= len(pairs) * factor
-        self.cnf = self.masks = None
+        self.pairs = _operand_pairs(self.p, s)
+        self.space_size = math.prod(len(pp) * (4 if pp == [(0, 0)] else 16)
+                                    for pp in self.pairs)
+        self.cnf = self.weights = None
         if math.prod(map(len, self.pairs)) * 16 ** s <= VECTOR_LIMIT:
-            self.skeletons = list(itertools.product(
-                *[range(len(pp)) for pp in self.pairs]))
-            combos = np.arange(16 ** s)
-            self._digits = [((combos >> (4 * t)) & 15).astype(np.uint8)
-                            for t in range(s)]
-            base = np.ones(len(combos), dtype=bool)
-            for t in range(s):
-                if self.pairs[t] == [(0, 0)]:
-                    base &= (self._digits[t] & 0b0110) == 0
-            self.masks = np.tile(base, (len(self.skeletons), 1))
+            (self.slots, self.read, self.tables, self.weights,
+             self.reps) = _function_table(self.p, s)
             return
         self.cnf = Cnf()
         self.sel = []        # per gate: one selection var per pair
@@ -263,9 +295,8 @@ class CircuitEncoding:
             for u, v in itertools.combinations(sel, 2):
                 self.cnf.add([-u, -v])
             if pairs == [(0, 0)]:
-                self.cnf.add([sel[0]])
-                self.cnf.add([-tt[1]])
-                self.cnf.add([-tt[2]])
+                for lit in (sel[0], -tt[1], -tt[2]):
+                    self.cnf.add([lit])
         self.structure_vars = [v for g in range(s)
                                for v in self.sel[g] + self.tt[g]]
 
@@ -275,56 +306,37 @@ class CircuitEncoding:
         inp = tuple(x) + tuple(y[:self.i - 1]) or (0,)
         target = y[self.i - 1]
         self.cases.append((inp, target))
-        if self.masks is not None:
-            self._narrow(inp, target)
-        else:
-            self._add_case(inp, target)
-
-    def _add_case(self, inp, target):
+        if self.weights is not None:
+            point = np.array([sum(inp[v] << k for k, v in
+                                  enumerate(reversed(slots)))
+                              for slots in self.slots])
+            self.weights[(self.tables >> point[self.read]) & 1 != target] = 0
+            return
         val = [self.cnf.fresh() for _ in range(self.s)]
         for t in range(self.s):
             for pv, (a, b) in zip(self.sel[t], self.pairs[t]):
                 for alpha, beta in itertools.product((0, 1), repeat=2):
                     premise = [-pv]
-                    ok = True
                     for slot, want in ((a, alpha), (b, beta)):
-                        if slot < self.p:
-                            if inp[slot] != want:
-                                ok = False
-                                break
-                        else:
+                        if slot >= self.p:
                             v = val[slot - self.p]
                             premise.append(-v if want else v)
-                    if not ok:
-                        continue
-                    ttv = self.tt[t][2 * alpha + beta]
-                    self.cnf.add(premise + [-val[t], ttv])
-                    self.cnf.add(premise + [val[t], -ttv])
+                        elif inp[slot] != want:
+                            break
+                    else:
+                        ttv = self.tt[t][2 * alpha + beta]
+                        self.cnf.add(premise + [-val[t], ttv])
+                        self.cnf.add(premise + [val[t], -ttv])
         self.cnf.add([val[-1]] if target else [-val[-1]])
 
-    def _narrow(self, inp, target):
-        """AND one case into every mask row.  A depth-first walk over the
-        gates' operand pairs visits the skeletons in row order and
-        evaluates each shared prefix of gates once."""
-        p, last = self.p, self.s - 1
-        row = 0
-
-        def walk(t, vals):
-            nonlocal row
-            for a, b in self.pairs[t]:
-                va = inp[a] if a < p else vals[a - p]
-                vb = inp[b] if b < p else vals[b - p]
-                out = (self._digits[t] >> (2 * va + vb)) & 1
-                if t == last:
-                    self.masks[row] &= out == target
-                    row += 1
-                else:
-                    walk(t + 1, vals + [out])
-        walk(0, [])
+    def representative(self, group: int) -> Circuit:
+        """The circuit of the one structure kept for a group."""
+        dims = [len(pp) for pp in self.pairs] + [16] * self.s
+        index = [int(v) for v in np.unravel_index(self.reps[group], dims)]
+        return self.decode_structure(index[:self.s], index[self.s:])
 
     def structure_of(self, model: dict):
-        choice = []
-        tables = []
+        choice, tables = [], []
         for t in range(self.s):
             picked = [j for j, v in enumerate(self.sel[t]) if model[v]]
             if len(picked) != 1:
@@ -349,9 +361,6 @@ class CircuitEncoding:
             gates.append(b.mux_(va, high, low))
         return b.extract([gates[-1]])
 
-    def decode(self, model: dict) -> Circuit:
-        return self.decode_structure(*self.structure_of(model))
-
 
 def encode_bounded_circuits(n: int, i: int, s: int,
                             counterexamples) -> CircuitEncoding:
@@ -366,46 +375,37 @@ def encode_bounded_circuits(n: int, i: int, s: int,
 
 
 def count_consistent(encoding: CircuitEncoding) -> int:
-    """Exact number of consistent structures, read off the masks."""
-    if encoding.masks is None:
-        raise ValueError(f"space {encoding.space_size} exceeds the exact "
-                         f"limit {VECTOR_LIMIT}")
-    return int(encoding.masks.sum())
+    """Exact number of consistent structures, summed over the groups."""
+    if encoding.weights is None:
+        raise ValueError(f"space {encoding.space_size} exceeds VECTOR_LIMIT")
+    return int(encoding.weights.sum())
 
 
 def sample_candidate_pool(encoding: CircuitEncoding, count: int,
                           oracle: Oracle = None, seed=0) -> list:
-    """`count` near-uniform consistent circuits: an exact draw from the
-    masks when the encoding has them, otherwise draws with replacement
-    from the counted cell of the CNF (see approx_count_projected)."""
+    """`count` near-uniform consistent circuits: on the exact tier,
+    groups drawn by weight, which over functions is the uniform draw over
+    structures; otherwise draws with replacement from the counted cell of
+    the CNF (see approx_count_projected)."""
     oracle = oracle or Oracle()
-    if encoding.masks is not None:
-        # exactly uniform: pick a skeleton weighted by its consistent
-        # table count, then a uniform consistent table combo inside it
-        weights = encoding.masks.sum(axis=1).tolist()
-        if sum(weights) == 0:
-            raise InconsistentEncodingError(
-                "no circuit of this size fits the counterexamples")
-        rng = labeled_rng(seed, "pool/vector")
-        circuits = []
-        for _ in range(count):
-            j = rng.choices(range(len(weights)), weights=weights)[0]
-            combo = int(np.flatnonzero(encoding.masks[j])[
-                rng.randrange(weights[j])])
-            tables = tuple((combo >> (4 * t)) & 15
-                           for t in range(encoding.s))
-            circuits.append(encoding.decode_structure(
-                encoding.skeletons[j], tables))
-        return circuits
-    est = approx_count_projected(encoding.cnf, encoding.structure_vars,
-                                 epsilon_trials=3, seed=seed, oracle=oracle,
-                                 level_hint=max(
-                                     0, encoding.space_size.bit_length() - 7))
-    if est.estimate == 0:
-        raise InconsistentEncodingError(
-            "no circuit of this size fits the counterexamples")
-    rng = labeled_rng(seed, "pool/cell")
-    return [encoding.decode(model) for model in rng.choices(est.cell, k=count)]
+    if encoding.weights is not None:
+        live = np.flatnonzero(encoding.weights)
+        if len(live):
+            rng = labeled_rng(seed, "pool/vector")
+            picks = rng.choices(live.tolist(), k=count, cum_weights=np.cumsum(
+                encoding.weights[live]).tolist())
+            return [encoding.representative(g) for g in picks]
+    else:
+        est = approx_count_projected(
+            encoding.cnf, encoding.structure_vars, epsilon_trials=3,
+            seed=seed, oracle=oracle,
+            level_hint=max(0, encoding.space_size.bit_length() - 7))
+        if est.estimate:
+            rng = labeled_rng(seed, "pool/cell")
+            return [encoding.decode_structure(*encoding.structure_of(model))
+                    for model in rng.choices(est.cell, k=count)]
+    raise InconsistentEncodingError(
+        "no circuit of this size fits the counterexamples")
 
 
 def majority_hypothesis(pool: list) -> Circuit:
@@ -479,8 +479,7 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
     hypothesis swept.
     """
     oracle = oracle or Oracle()
-    s = s0 if s0 is not None else 1
-    while s <= max_s:
+    for s in range(1 if s0 is None else s0, max_s + 1):
         state = LearnerState(s)
         if state_log is not None:
             state_log.append(state)
@@ -499,7 +498,6 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
                 enc.add_case(*ce)
         except InconsistentEncodingError:
             pass  # size bound too small for any consistent circuit
-        s += 1
     raise BudgetExceededError(
         f"unique-bit learner failed up to size bound {max_s} for Y_{i}")
 

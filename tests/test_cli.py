@@ -177,6 +177,15 @@ def test_usage_errors_exit_64(tmp_path, spec_file):
     assert main(["verify", str(bad), spec_file]) == 64
 
 
+def test_synth_rejects_pool_multiplicity_below_one(spec_file, capsys):
+    for d in ("0", "-2"):
+        with pytest.raises(SystemExit) as e:
+            main(["synth", spec_file, "--strategy", "unique", "--d", d])
+        assert e.value.code == 64
+        err = capsys.readouterr().err
+        assert "--d" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "{spec}", "-o", "{bad}"],
     ["synth", "{spec}", "--json", "{bad}"],

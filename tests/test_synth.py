@@ -398,6 +398,18 @@ def test_encoding_count_matches_enumeration():
         if want:
             assert sat_structures(xor_twin(n, 1, s, ces)) == \
                 set(brute_force_structures(enc))
+        # the structures of one function weigh as much as its groups
+        names = [("x", j + 1) for j in range(n)]
+
+        def function(c):
+            return c.eval_masks(input_masks(names), width=1 << n)[0]
+        per_structure = collections.Counter(
+            function(enc.decode_structure(*st))
+            for st in brute_force_structures(enc))
+        per_group = collections.Counter()
+        for g in map(int, enc.weights.nonzero()[0]):
+            per_group[function(enc.representative(g))] += int(enc.weights[g])
+        assert per_group == per_structure
 
 
 def test_add_case_narrows_like_rebuild():
@@ -446,23 +458,25 @@ def test_encoding_degenerate_single_input():
 # sampling and majority
 
 def test_pool_uniform_small_space():
-    enc = encode_bounded_circuits(2, 1, 1, [])
-    structures = list(brute_force_structures(enc))
-    pool = sample_candidate_pool(enc, 2000, Oracle(), seed=8)
-    freq = {}
-    for c in pool:
-        key = c.eval_masks(input_masks([("x", 1), ("x", 2)]), width=4)[0]
-        freq[key] = freq.get(key, 0) + 1
-    # compare function-level frequencies against the enumeration baseline
-    base = {}
-    for choice, tables in structures:
-        c = enc.decode_structure(choice, tables)
-        key = c.eval_masks(input_masks([("x", 1), ("x", 2)]), width=4)[0]
-        base[key] = base.get(key, 0) + 1
-    total_b = sum(base.values())
-    tv = 0.5 * sum(abs(freq.get(k, 0) / 2000 - base.get(k, 0) / total_b)
-                   for k in set(freq) | set(base))
-    assert tv <= 0.15
+    # at s = 2 all three skeletons read both inputs, so their groups merge
+    for s in (1, 2):
+        enc = encode_bounded_circuits(2, 1, s, [])
+        structures = list(brute_force_structures(enc))
+        pool = sample_candidate_pool(enc, 2000, Oracle(), seed=8)
+        freq = {}
+        for c in pool:
+            key = c.eval_masks(input_masks([("x", 1), ("x", 2)]), width=4)[0]
+            freq[key] = freq.get(key, 0) + 1
+        # compare function-level frequencies against the enumeration
+        base = {}
+        for choice, tables in structures:
+            c = enc.decode_structure(choice, tables)
+            key = c.eval_masks(input_masks([("x", 1), ("x", 2)]), width=4)[0]
+            base[key] = base.get(key, 0) + 1
+        total_b = sum(base.values())
+        tv = 0.5 * sum(abs(freq.get(k, 0) / 2000 - base.get(k, 0) / total_b)
+                       for k in set(freq) | set(base))
+        assert tv <= 0.15
 
 
 def test_pool_xor_tier_uniform(monkeypatch):
@@ -470,7 +484,7 @@ def test_pool_xor_tier_uniform(monkeypatch):
     # is drawn from a hashed cell; one circuit per call, over 200 seeds
     monkeypatch.setattr(synth_mod, "VECTOR_LIMIT", 0)
     enc = encode_bounded_circuits(1, 1, 2, [])
-    assert enc.masks is None
+    assert enc.weights is None
 
     def function(c):
         return c.eval_masks(input_masks([("x", 1)]), width=2)[0]
@@ -489,7 +503,7 @@ def test_pool_xor_tier_uniform(monkeypatch):
 def test_pool_vector_tier_consistent():
     ces = [((1, 0, 1, 1), (1,)), ((0, 0, 1, 0), (0,))]
     enc = encode_bounded_circuits(4, 1, 3, ces)
-    assert enc.cnf is None  # the exact tier holds the masks only
+    assert enc.cnf is None  # the exact tier holds the weights only
     pool = sample_candidate_pool(enc, 24, Oracle(), seed=3)
     assert len(pool) == 24
     for c in pool:
@@ -515,7 +529,7 @@ def test_learner_xor_tier(monkeypatch):
     monkeypatch.setattr(synth_mod, "VECTOR_LIMIT", 0)
     cases = [((0, 1), (0,)), ((1, 1), (1,)), ((1, 0), (1,))]
     enc = encode_bounded_circuits(2, 1, 1, cases)
-    assert enc.masks is None
+    assert enc.weights is None
     pool = sample_candidate_pool(enc, 6, Oracle(), seed=4)
     assert len(pool) == 6
     for c in pool:
@@ -599,6 +613,21 @@ def test_learner_default_start_finds_three_gate_targets():
             [b.xnor_(b.inp(n + 1), pool[-1])]))
         h = synth_unique_bit(spec, 1, Oracle(), seed=seed, max_s=3)
         assert verify_skolem(spec, SkolemVector(n, h)).is_valid
+
+
+def test_learner_wide_inputs_stay_exact():
+    # p = 10 inputs is exact at s <= 2: weights, not the XOR tier's CNF
+    assert encode_bounded_circuits(10, 1, 2, []).weights is not None
+    # the target (u xor v) and w needs 2 gates; u, v, w are seeded
+    b = Builder()
+    u, v, w = random.Random("wide/2-gate").sample(
+        [b.inp(j) for j in range(1, 11)], 3)
+    spec = Specification(list(range(1, 11)), [11], b.extract(
+        [b.xnor_(b.inp(11), b.and_(b.xor_(u, v), w))]))
+    oracle = Oracle()
+    h = synth_unique_bit(spec, 1, oracle, seed=5, max_s=2)
+    assert oracle.stats()["calls"] <= 40
+    assert verify_skolem(spec, SkolemVector(10, h)).is_valid
 
 
 def test_learner_consistent_count_strictly_decreases():

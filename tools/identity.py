@@ -1,6 +1,7 @@
 """Identity record of the benchmark's workloads for one source tree.
 
 Usage: python3 tools/identity.py SRC_ROOT
+       python3 tools/identity.py --compare A.json B.json
 
 SRC_ROOT is the root of a checkout (it holds src/ and bench/).  The
 script imports skolemkit from SRC_ROOT/src and the workloads from
@@ -15,6 +16,13 @@ example a ``git archive`` of the parent commit and the working tree, and
 diff the outputs: a change that keeps the program's behaviour prints the
 same object on both, and a change that rewrites circuits but keeps what
 they compute prints the same solve counts and truth-table digests.
+
+``--compare A.json B.json`` reads two saved records and sorts each label
+into one of four classes: identical, solves differ (same output),
+output differs with the same truth-table digest, or function differs (a
+different truth-table digest, an output difference without one, or a
+label on one side only).  It prints the labels of each class and the
+solve totals per workload, and exits 1 if any function differs.
 
 The record also covers code that the workloads do not reach, under the
 label prefix ``extra/``:
@@ -198,9 +206,48 @@ def extra_jobs(workdir):
         yield f"qdimacs/{name}", lambda make=make: write_qdimacs(make())
 
 
+CLASSES = ("identical", "solves differ", "output differs, same function",
+           "function differs")
+
+
+def classify(a, b) -> str:
+    """The class of one label's records [digest, solves, tables digest?]
+    on two trees; None stands for a label missing on that side."""
+    if a == b:
+        return CLASSES[0]
+    if a is None or b is None or a[2:] != b[2:]:
+        return CLASSES[3]
+    if a[0] == b[0]:
+        return CLASSES[1]
+    return CLASSES[2] if a[2:] else CLASSES[3]
+
+
+def compare(path_a, path_b) -> int:
+    a, b = (json.loads(Path(path).read_text()) for path in (path_a, path_b))
+    classes = {c: [] for c in CLASSES}
+    totals = {}
+    for label in sorted(set(a) | set(b)):
+        classes[classify(a.get(label), b.get(label))].append(label)
+        tot = totals.setdefault(label.split("/")[0], [0, 0])
+        for side, rec in enumerate((a.get(label), b.get(label))):
+            tot[side] += rec[1] if rec else 0
+    for c, labels in classes.items():
+        print(f"{c}: {len(labels)}")
+        if c != CLASSES[0]:
+            for label in labels:
+                print(f"  {label}: {a.get(label)} -> {b.get(label)}")
+    for workload, (sa, sb) in totals.items():
+        print(f"solves {workload}: {sa} -> {sb}")
+    return 1 if classes[CLASSES[3]] else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
-        print("usage: python3 tools/identity.py SRC_ROOT", file=sys.stderr)
+        print("usage: python3 tools/identity.py SRC_ROOT\n"
+              "       python3 tools/identity.py --compare A.json B.json",
+              file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     # truth tables over 14 or more inputs print with more than 4300 digits
