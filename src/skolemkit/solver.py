@@ -249,26 +249,24 @@ class Solver:
         """1UIP learning on explicit literal sets.
 
         Returns (learned_lits ordered by decreasing level, backjump_level,
-        chain, n) where chain mirrors the performed resolutions and n
-        counts the learned literals at the current level.
+        chain) where chain mirrors the performed resolutions.
         """
         trail, level, reason = self.trail, self.level, self.reason
         cur_level = len(self.trail_lim)
-        lim = self.trail_lim[-1]
         lits = set(conflict.lits)
         n_cur = sum(1 for l in lits if level[abs(l)] == cur_level)
         chain = [] if self.log_proof else None
         bumped = []  # resolved variables, then the learned clause's
         idx = len(trail) - 1
         while n_cur > 1:
-            # the trail from lim on holds exactly the current level
-            while idx >= lim:
-                t = trail[idx]
-                if -t in lits and reason[abs(t)] is not None:
-                    break
+            # A level starts with its one literal without a reason, a
+            # decision or an assumption; every later literal has one.  Of
+            # two or more current-level literals in lits, the latest on
+            # the trail is therefore implied, so the loop ends with
+            # exactly one, the first UIP.
+            while -trail[idx] not in lits:
                 idx -= 1
-            else:
-                break  # only decision literals remain at this level
+            t = trail[idx]
             idx -= 1
             var = abs(t)
             r = reason[var]
@@ -289,7 +287,7 @@ class Solver:
         self._bump(bumped)
         bj = level[abs(learned[1])] if len(learned) > 1 else 0
         return (learned, bj,
-                ((conflict, chain) if chain is not None else None), n_cur)
+                (conflict, chain) if chain is not None else None)
 
     def _resolve_to_empty(self, start_cl: _Clause, lits: set):
         """All of ``lits`` are false at level 0: chain down to empty."""
@@ -377,11 +375,7 @@ class Solver:
                     if self.log_proof:
                         self._derive_falsified(conflict)
                     return False
-                learned, bj, chain, n_cur = self._analyze(conflict)
-                if n_cur != 1:
-                    # conflict hinges on assumption decisions only
-                    self._backjump(0)
-                    return False
+                learned, bj, chain = self._analyze(conflict)
                 self._decay()
                 # learned[0] is the one current-level literal (asserting),
                 # learned[1] a backjump-level literal

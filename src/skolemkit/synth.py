@@ -54,14 +54,15 @@ def _selector_vector(spec: Specification, tuples) -> SkolemVector:
     prefix product; output i is the OR of the terms whose tuple has
     bit i set.
 
-    F enters each tuple by partial evaluation: gates reading only Y are
+    F enters each tuple by partial evaluation: its constant and X-only
+    gates are built once, over the X inputs; gates reading only Y are
     evaluated for all tuples at once (bit j of a mask is the value under
-    tuple j), gates reading only X keep the ids of a full import, and
-    only gates reading both are rebuilt.  Tuples take the full import
-    until const(0) exists, so the builder makes the same gates in the
-    same order as with one full import per tuple.
+    tuple j); and only gates reading both are rebuilt per tuple.  The
+    selector has the same gate count and functions as one full copy of
+    F per tuple.
     """
     b = Builder()
+    one, zero = b.const(1), b.const(0)
     xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}
     gates, out = spec.matrix.gates, spec.matrix.outputs[0]
     reads = []      # per gate: 0 constant, 1 X only, 2 Y only, 3 both
@@ -82,27 +83,15 @@ def _selector_vector(spec: Specification, tuples) -> SkolemVector:
     # bit j of cols[k] is the value of gate yonly[k] under tuple j
     cols = Circuit(gates, yonly).eval_masks(assign, width=len(tuples))
 
-    def resolve_for(bits):
-        binding = dict(zip(spec.y_vars, bits))
-
-        def resolve(v):
-            if v in binding:
-                return b.const(binding[v])
-            return b.inp(("x", xpos[v]))
-        return resolve
-
+    remap = b.rebuild(spec.matrix, lambda v: b.inp(("x", xpos[v])),
+                      [0] * len(gates),
+                      [i for i, r in enumerate(reads) if r < 2])
     terms = []
-    one = prefix = b.const(1)     # no smaller tuple satisfies F
-    remap = [0] * len(gates)
-    for j, bits in enumerate(tuples):
-        zero = b._cache.get(("const", 0))
-        if zero is None:
-            b.rebuild(spec.matrix, resolve_for(bits), remap,
-                      range(len(gates)))
-        else:
-            for g, col in zip(yonly, cols):
-                remap[g] = one if col >> j & 1 else zero
-            b.rebuild(spec.matrix, None, remap, mixed)
+    prefix = one     # no smaller tuple satisfies F
+    for j in range(len(tuples)):
+        for g, col in zip(yonly, cols):
+            remap[g] = one if col >> j & 1 else zero
+        b.rebuild(spec.matrix, None, remap, mixed)
         fx = remap[out]
         terms.append(b.and_(fx, prefix))
         prefix = b.and_(prefix, b.not_(fx))

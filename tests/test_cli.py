@@ -177,6 +177,21 @@ def test_usage_errors_exit_64(tmp_path, spec_file):
     assert main(["verify", str(bad), spec_file]) == 64
 
 
+def test_missing_external_solver_exit_64(tmp_path, spec_file, capsys):
+    assert main(["synth", spec_file, "--solver",
+                 f"exec:{tmp_path / 'no-such-solver'}"]) == 64
+    err = capsys.readouterr().err
+    assert "external solver: cannot run" in err and "Traceback" not in err
+
+
+def test_verify_shape_mismatch_exit_64(tmp_path, spec_file, capsys):
+    vec = tmp_path / "wide.skolem"
+    vec.write_text("skolem 1 2\ny1 := x2\n")   # m = 1, n = 2
+    assert main(["verify", spec_file, str(vec)]) == 64
+    err = capsys.readouterr().err
+    assert "does not match spec" in err and "Traceback" not in err
+
+
 def test_synth_rejects_pool_multiplicity_below_one(spec_file, capsys):
     for d in ("0", "-2"):
         with pytest.raises(SystemExit) as e:

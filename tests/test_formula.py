@@ -4,7 +4,7 @@ import random
 import pytest
 
 from skolemkit.benchgen import BphpParams, gen_bphp, gen_factor
-from skolemkit.circuits import (Builder, Circuit, SkolemVector,
+from skolemkit.circuits import (BASIS, Builder, Circuit, SkolemVector,
                                 vector_from_circuits)
 from skolemkit.formula import (ParseError, Specification, emit_aiger,
                                emit_skolem, parse_aiger, parse_skolem,
@@ -59,6 +59,19 @@ def test_parse_annotated_equivalent():
                    "1 3 0\n-2 -3 0\n")
     assert q.x_vars == a.x_vars and q.y_vars == a.y_vars
     assert q.sat_masks() == a.sat_masks()
+
+
+@pytest.mark.parametrize("first", ["-3 1 2 0", "-3 -1 -2 0"])
+def test_parse_xor_auxiliary(first):
+    # aux 3 := x1 xor y1, asserted by the unit 3; the first -3 clause
+    # names the operands, plain or both negated
+    defs = ["-3 1 2 0", "-3 -1 -2 0", "3 -1 2 0", "3 1 -2 0"]
+    defs.remove(first)
+    s = parse_spec("c outputs 2\np cnf 3 5\na 1 0\ne 2 3 0\n"
+                   + "\n".join([first] + defs + ["3 0"]) + "\n")
+    assert s.x_vars == [1] and s.y_vars == [2]
+    assert s.sat_masks() == 0b0110
+    assert {g[0] for g in s.matrix.gates} <= BASIS
 
 
 def test_parse_undeclared_variable_reports_line():

@@ -10,8 +10,9 @@ from skolemkit.benchgen import (TrapParams, gen_factor, gen_planted_cover,
 from skolemkit.circuits import Builder, SkolemVector, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle, labeled_rng
-from skolemkit.solver import Solver
-from skolemkit.synth import (CoverSet, InconsistentEncodingError,
+from skolemkit.solver import ResourceLimitError, Solver
+from skolemkit.synth import (BudgetExceededError, CoverSet,
+                             InconsistentEncodingError,
                              build_cover_circuit, count_consistent,
                              encode_bounded_circuits,
                              majority_hypothesis, sample_candidate_pool,
@@ -86,8 +87,9 @@ def test_lex_limit_enforced():
 
 
 def reference_selector(spec, tuples):
-    """The lex selector with one full import of F per tuple, the loop that
-    partial evaluation in _selector_vector must reproduce gate for gate."""
+    """The lex selector with one full import of F per tuple, the loop whose
+    gate count and functions partial evaluation in _selector_vector must
+    reproduce."""
     b = Builder()
     xpos = {v: j + 1 for j, v in enumerate(spec.x_vars)}
     terms = []
@@ -105,12 +107,13 @@ def reference_selector(spec, tuples):
 
 
 def assert_selector_matches_reference(spec, tuples):
-    got = synth_mod._selector_vector(spec, tuples).arena
-    want = reference_selector(spec, tuples)
-    assert (got.gates, got.outputs) == (want.gates, want.outputs)
+    got = synth_mod._selector_vector(spec, tuples)
+    want = SkolemVector(spec.n, reference_selector(spec, tuples))
+    assert got.size == want.size
+    assert got.eval_masks() == want.eval_masks()
 
 
-def test_selector_gate_for_gate_on_random_specs():
+def test_selector_size_and_function_on_random_specs():
     rng = random.Random(77)
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
@@ -121,7 +124,7 @@ def test_selector_gate_for_gate_on_random_specs():
             spec, sorted(rng.sample(all_y, rng.randint(1, len(all_y)))))
 
 
-def test_selector_gate_for_gate_corner_cases():
+def test_selector_size_and_function_corner_cases():
     b = Builder()
     x1, x2, y1, y2 = (b.inp(v) for v in (1, 2, 3, 4))
     nb = Builder()
@@ -643,6 +646,17 @@ def test_learner_consistent_count_strictly_decreases():
         if prev is not None:
             assert cnt < prev
         prev = cnt
+
+
+def test_learner_budget_exhausted_on_non_unique_bit():
+    # F = ~y1 | x1: at x1 = 1 both values of y1 satisfy F, so every
+    # hypothesis meets a counterexample until the size bound runs out
+    b = Builder()
+    spec = Specification([1], [2], b.extract(
+        [b.or_(b.not_(b.inp(2)), b.inp(1))]))
+    with pytest.raises(BudgetExceededError) as e:
+        synth_unique_bit(spec, 1, Oracle(), max_s=2)
+    assert isinstance(e.value, ResourceLimitError)   # the CLI exits 20
 
 
 def test_learner_guard_non_unique():
