@@ -16,6 +16,7 @@ from .cnf import Cnf
 from .formula import Specification
 from .interplab import InterpolationInstance
 from .oracle import labeled_rng
+from .synth import _selector_vector
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +92,11 @@ def gen_bphp(p: BphpParams) -> Specification:
 
 
 def bphp_lexfirst_skolem(p: BphpParams) -> SkolemVector:
-    """Output the smallest collided hole address, Y_1 most significant."""
-    b = Builder()
-    xw = {}
-    pos = 0
-    for i in range(1, p.k + 1):
-        for j in range(1, p.m + 1):
-            pos += 1
-            xw[(i, j)] = b.inp(("x", pos))
-    sel = []
-    prefix = b.const(1)
-    holes = list(itertools.product((0, 1), repeat=p.m))
-    for bits in holes:
-        in_hole = [b.and_many(
-            xw[(i, j)] if bits[j - 1] else b.not_(xw[(i, j)])
-            for j in range(1, p.m + 1)) for i in range(1, p.k + 1)]
-        coll = b.or_many(b.and_(in_hole[i1], in_hole[i2])
-                         for i1 in range(p.k)
-                         for i2 in range(i1 + 1, p.k))
-        sel.append(b.and_(coll, prefix))
-        prefix = b.and_(prefix, b.not_(coll))
-    outs = [b.or_many(s for bits, s in zip(holes, sel) if bits[j])
-            for j in range(p.m)]
-    return SkolemVector(p.k * p.m, b.extract(outs))
+    """Output the smallest collided hole address, Y_1 most significant:
+    the lex selector on gen_bphp(p), unswept, so its size is the
+    closed form's."""
+    return _selector_vector(
+        gen_bphp(p), list(itertools.product((0, 1), repeat=p.m)))
 
 
 def bphp_interpolation_pair(p: BphpParams) -> InterpolationInstance:

@@ -231,11 +231,10 @@ def _match_gate_def(g: int, group):
     for c in group:
         if len(c) != 3 or -g not in c:
             continue
-        rest = [l for l in c if l != -g]
-        for a, b in ((rest[0], rest[1]), (-rest[0], -rest[1])):
-            used = {fs(-g, a, b), fs(-g, -a, -b), fs(g, -a, b), fs(g, a, -b)}
-            if used <= set(pool):
-                return "xor", a, b, _drop(group, used)
+        a, b = [l for l in c if l != -g]
+        used = {fs(-g, a, b), fs(-g, -a, -b), fs(g, -a, b), fs(g, a, -b)}
+        if used <= set(pool):
+            return "xor", a, b, _drop(group, used)
     return None
 
 

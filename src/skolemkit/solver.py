@@ -130,9 +130,8 @@ class Solver:
             clause.sort(key=lambda l: -level[abs(l)])
             top, second = level[abs(clause[0])], level[abs(clause[1])]
             if top:
-                cl = _Clause(tuple(clause))
                 self._backjump(second if top > second else top - 1)
-                self._watch(cl, clause[0], clause[1])
+                cl = self._learn(clause, None)
                 if top > second:
                     self._enqueue(clause[0], cl)
                 return cl

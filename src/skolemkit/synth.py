@@ -263,7 +263,7 @@ class CircuitEncoding:
     def __init__(self, n: int, i: int, s: int):
         self.n, self.i, self.s = n, i, s
         self.p = max(1, n + i - 1)  # input slots: X then Y_1..Y_{i-1}
-        self.cases = []     # (input bits, target bit) per counterexample
+        self.cases = []     # (xbits, ybits) per counterexample
         self.pairs = _operand_pairs(self.p, s)
         self.space_size = math.prod(len(pp) * (4 if pp == [(0, 0)] else 16)
                                     for pp in self.pairs)
@@ -294,7 +294,7 @@ class CircuitEncoding:
         y's bit i."""
         inp = tuple(x) + tuple(y[:self.i - 1]) or (0,)
         target = y[self.i - 1]
-        self.cases.append((inp, target))
+        self.cases.append((x, y))
         if self.weights is not None:
             point = np.array([sum(inp[v] << k for k, v in
                                   enumerate(reversed(slots)))
@@ -427,13 +427,6 @@ def majority_hypothesis(pool: list) -> Circuit:
 # ---------------------------------------------------------------------------
 # unique-bit learner and dispatcher
 
-class LearnerState:
-    def __init__(self, s: int):
-        self.s = s
-        self.counterexamples = []  # (xbits, ybits), each satisfying F
-        self.round = 0
-
-
 def _hypothesis_counterexample(spec: Specification, i: int, h: Circuit,
                                oracle: Oracle):
     """Model of F(X,Y) & (Y_i != h(X, Y^{1:i-1})), or None."""
@@ -465,25 +458,23 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
     Caller should have confirmed uniqueness (check_unique); on non-unique
     bits the loop can fail its budget.  Tries sizes s0, s0+1, ... up to
     max_s until the hypothesis passes the unsat check, and returns that
-    hypothesis swept.
+    hypothesis swept.  state_log, if given, receives each size's
+    CircuitEncoding; its cases are that size's counterexamples.
     """
     oracle = oracle or Oracle()
     for s in range(1 if s0 is None else s0, max_s + 1):
-        state = LearnerState(s)
-        if state_log is not None:
-            state_log.append(state)
         budget = math.ceil(64 * s * math.log2(s + 2))
         enc = encode_bounded_circuits(spec.n, i, s, [])
+        if state_log is not None:
+            state_log.append(enc)
         try:
-            for state.round in range(budget):
+            for r in range(budget):
                 pool = sample_candidate_pool(
-                    enc, d * s, oracle,
-                    seed=f"{seed}/bit{i}/s{s}/r{state.round}")
+                    enc, d * s, oracle, seed=f"{seed}/bit{i}/s{s}/r{r}")
                 h = majority_hypothesis(pool)
                 ce = _hypothesis_counterexample(spec, i, h, oracle)
                 if ce is None:
                     return sweep(h)
-                state.counterexamples.append(ce)
                 enc.add_case(*ce)
         except InconsistentEncodingError:
             pass  # size bound too small for any consistent circuit

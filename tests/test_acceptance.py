@@ -19,9 +19,8 @@ from skolemkit.interplab import (bounded_width_refute, extract_interpolant,
                                  interp_size_experiment, relabel_axioms,
                                  solve_with_proof)
 from skolemkit.oracle import Oracle, approx_count_projected, labeled_rng
-from skolemkit.synth import (LearnerState, count_consistent,
-                             encode_bounded_circuits, synth_cover, synth_lex,
-                             synth_unique_bit)
+from skolemkit.synth import (count_consistent, encode_bounded_circuits,
+                             synth_cover, synth_lex, synth_unique_bit)
 from skolemkit.verify import check_unique, verify_skolem
 
 SIZE_CONSTANT = 1  # the C in the lex-first size bound C*|F|*m*2^(2m)
@@ -236,8 +235,8 @@ def test_criterion_06_unique_bit_learner():
                                  max_s=s, state_log=log)
         except Exception:
             continue
-        state = log[-1]
-        if state.round > budget:
+        last = log[-1]
+        if len(last.cases) > budget:
             continue
         # hypothesis must make the error formula unsatisfiable
         b = Builder()
@@ -247,9 +246,8 @@ def test_criterion_06_unique_bit_learner():
             continue
         finished += 1
         counts = []
-        for r in range(len(state.counterexamples) + 1):
-            enc = encode_bounded_circuits(spec.n, 1, state.s,
-                                          state.counterexamples[:r])
+        for r in range(len(last.cases) + 1):
+            enc = encode_bounded_circuits(spec.n, 1, last.s, last.cases[:r])
             counts.append(count_consistent(enc))
         if all(a > b for a, b in zip(counts, counts[1:])):
             decreases_ok += 1

@@ -8,6 +8,7 @@ from skolemkit.benchgen import (BphpParams, TrapParams,
                                 gen_trap, simulate_sequential)
 from skolemkit.formula import parse_spec, write_qdimacs
 from skolemkit.oracle import Oracle
+from skolemkit.synth import synth_lex
 from skolemkit.verify import verify_skolem
 
 
@@ -62,6 +63,21 @@ def test_bphp_lexfirst_smallest_collided_hole():
             got = hole_of(vec.eval(list(bits)))
             if collided:
                 assert got == collided[0]
+
+
+@pytest.mark.parametrize("k,m,regime,size", [
+    (3, 1, "interpolation", 15), (4, 1, "paper", 28), (3, 2, "paper", 48),
+    (5, 2, "interpolation", 116), (9, 3, "interpolation", 732)])
+def test_bphp_lexfirst_size_pinned(k, m, regime, size):
+    # the ground truth is the unswept lex selector on gen_bphp: these
+    # are criterion 10's lexFirstSize denominators
+    p = BphpParams(k, m, regime=regime)
+    vec = bphp_lexfirst_skolem(p)
+    assert vec.size == size
+    if k * m <= 12:
+        swept = synth_lex(gen_bphp(p))
+        assert swept.size < size
+        assert vec.eval_masks() == swept.eval_masks()
 
 
 def test_bphp_pair_unsat_iff_overloaded():

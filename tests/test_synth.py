@@ -333,12 +333,15 @@ def brute_force_structures(enc):
         return any(enc.pairs[t] == [(0, 0)] and tables[t] & 0b0110
                    for t in range(enc.s))
 
+    # per case: the input slots (X then Y^{1:i-1}) and the target bit
+    cases = [(tuple(x) + tuple(y[:enc.i - 1]) or (0,), y[enc.i - 1])
+             for x, y in enc.cases]
     for choice in itertools.product(*[range(len(p)) for p in enc.pairs]):
         for tables in itertools.product(range(16), repeat=enc.s):
             if degenerate_bad(tables):
                 continue
             if all(output(choice, tables, inp) == tgt
-                   for inp, tgt in enc.cases):
+                   for inp, tgt in cases):
                 yield choice, tables
 
 
@@ -637,11 +640,10 @@ def test_learner_consistent_count_strictly_decreases():
     spec = and_spec()
     log = []
     synth_unique_bit(spec, 1, Oracle(), seed=3, s0=2, state_log=log)
-    state = log[-1]
+    last = log[-1]
     prev = None
-    for r in range(len(state.counterexamples) + 1):
-        enc = encode_bounded_circuits(spec.n, 1, state.s,
-                                      state.counterexamples[:r])
+    for r in range(len(last.cases) + 1):
+        enc = encode_bounded_circuits(spec.n, 1, last.s, last.cases[:r])
         cnt = count_consistent(enc)
         if prev is not None:
             assert cnt < prev

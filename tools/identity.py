@@ -35,6 +35,10 @@ label prefix ``extra/``:
 * ``synth_cover`` then ``verify_skolem`` on specs with more than one y
   per x (factor, trap) and on planted(16, 10, 4) seed 1, whose counting
   trials end in empty cells;
+* the emitted ``bphp_lexfirst_skolem`` vectors of bPHP (3,1), (4,1),
+  (3,2), (5,2) and (9,3), the lexFirstSize denominators of acceptance
+  criterion 10;
+* the rows of ``interp_size_experiment`` for m = 1, 2;
 * ``write_qdimacs`` of one spec per generator family.
 """
 
@@ -92,14 +96,14 @@ def circuit_tables(c):
 
 def functions(out) -> list:
     """Truth tables of the Skolem vectors (as emitted text) and circuits
-    in a job's output, in order; circuits over more than TABLE_INPUTS
-    inputs are skipped."""
+    in a job's output, in order; vectors and circuits over more than
+    TABLE_INPUTS inputs are skipped."""
     from skolemkit.formula import parse_aiger, parse_skolem
     if isinstance(out, (list, tuple)):
         return [t for v in out for t in functions(v)]
     if isinstance(out, str) and out.startswith(("skolem ", "aag ")):
-        parse = parse_aiger if out.startswith("aag ") else parse_skolem
-        return [parse(out).eval_masks()]
+        vec = (parse_aiger if out.startswith("aag ") else parse_skolem)(out)
+        return [vec.eval_masks()] if vec.n <= TABLE_INPUTS else []
     if hasattr(out, "gates") and len(out.input_names()) <= TABLE_INPUTS:
         return [circuit_tables(out)]
     return []
@@ -194,6 +198,18 @@ def extra_jobs(workdir):
                 verdict = verify.verify_skolem(spec, vec, oracle).status
                 return [verdict, len(cover), emit_skolem(vec)]
             yield f"cover/{name}/seed{cseed}", run
+
+    # the bPHP ground truth (criterion 10's lexFirstSize) and the
+    # interpolation size experiment's rows
+    for k, m, regime in [(3, 1, "interpolation"), (4, 1, "paper"),
+                         (3, 2, "paper"), (5, 2, "interpolation"),
+                         (9, 3, "interpolation")]:
+        def run(k=k, m=m, regime=regime):
+            return emit_skolem(benchgen.bphp_lexfirst_skolem(
+                benchgen.BphpParams(k, m, regime)))
+        yield f"bphp-truth/{k}-{m}", run
+    yield "interp-exp", lambda: interplab.interp_size_experiment(
+        m_range=(1, 2))
 
     # write_qdimacs of one spec per generator family
     for name, make in [
