@@ -14,8 +14,10 @@ import math
 from .circuits import Builder, SkolemVector
 from .cnf import Cnf
 from .formula import Specification
-from .interplab import InterpolationInstance
+from .interplab import (InterpolationInstance, extract_interpolant,
+                        relabel_axioms, solve_with_proof)
 from .oracle import labeled_rng
+from .solver import ResourceLimitError
 from .synth import _selector_vector
 
 
@@ -118,6 +120,34 @@ def bphp_interpolation_pair(p: BphpParams) -> InterpolationInstance:
                 side.add(_hole_clause(p, bits, i1, i2))
     c_vars = range(1, nvars + 1)
     return InterpolationInstance(phi0, phi1, (), (), c_vars)
+
+
+def interp_size_experiment(m_range=(1, 2, 3), max_conflicts=None):
+    """Rows {m, k, proofLength, interpolantSize, lexFirstSize}.
+
+    Uses the k = 2^m + 1 regime where the bit-1 pair is genuinely
+    unsatisfiable.  Cells that exhaust resources leave their fields None.
+    """
+    rows = []
+    for m in m_range:
+        k = (1 << m) + 1
+        row = {"m": m, "k": k, "proofLength": None,
+               "interpolantSize": None, "lexFirstSize": None}
+        params = BphpParams(k, m, regime="interpolation")
+        row["lexFirstSize"] = bphp_lexfirst_skolem(params).size
+        try:
+            instance = bphp_interpolation_pair(params)
+            status, payload = solve_with_proof(instance.combined(),
+                                               max_conflicts=max_conflicts)
+            if status == "unsat":
+                proof = relabel_axioms(payload, instance)
+                row["proofLength"] = len(proof)
+                row["interpolantSize"] = extract_interpolant(
+                    instance, proof).size
+        except ResourceLimitError:  # resource limits leave the cell absent
+            pass
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

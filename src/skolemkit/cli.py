@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import benchgen, interplab, synth
+from . import benchgen, synth
 from .circuits import vector_from_circuits
 from .formula import (parse_aiger, parse_spec, parse_skolem, emit_skolem,
                       write_qdimacs)
@@ -41,10 +41,14 @@ class UsageError(Exception):
     pass
 
 
-def positive(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-    return int(text)
+def at_least(k: int):
+    """An argparse type: an integer no smaller than k."""
+    def integer(text: str) -> int:
+        if int(text) < k:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {k}, not {text}")
+        return int(text)
+    return integer
 
 
 def _make_oracle(args) -> Oracle:
@@ -74,12 +78,11 @@ def _write_report(report: dict, dest: str):
 
 
 def _base_report(args, oracle: Oracle) -> dict:
-    stats = oracle.stats()
     return {"command": args.command, "seed": getattr(args, "seed", None),
-            "oracle": {"calls": stats["calls"],
-                       "maxQueryVars": stats["maxQueryVars"],
-                       "maxQueryClauses": stats["maxQueryClauses"]},
-            "timing": {"wallTime": stats["wallTime"]}}
+            "oracle": {"calls": oracle.calls,
+                       "maxQueryVars": oracle.max_query_vars,
+                       "maxQueryClauses": oracle.max_query_clauses},
+            "timing": {"wallTime": oracle.wall_time}}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def _parse_mrange(text: str):
 
 
 def _cmd_interp_exp(args) -> int:
-    rows = interplab.interp_size_experiment(
+    rows = benchgen.interp_size_experiment(
         m_range=_parse_mrange(args.m),
         max_conflicts=args.max_conflicts)
     buf = io.StringIO()
@@ -267,7 +270,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--strategy", choices=["lex", "cover", "unique", "auto"],
                     default="auto")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--d", type=positive, default=4,
+    sp.add_argument("--d", type=at_least(1), default=4,
                     help="candidate-pool multiplicity for the learner")
     sp.add_argument("--lex-limit", type=int, default=synth.LEX_LIMIT)
     common(sp)
@@ -322,7 +325,7 @@ def _build_parser() -> _Parser:
                         help="interpolant-size experiment over bPHP")
     sp.add_argument("--m", default="1..3", help="range, e.g. 1..3")
     sp.add_argument("-o", "--output", default="-", help="CSV path")
-    sp.add_argument("--max-conflicts", type=int, default=None)
+    sp.add_argument("--max-conflicts", type=at_least(0), default=None)
     sp.set_defaults(func=_cmd_interp_exp)
     return p
 

@@ -27,10 +27,6 @@ class Cnf:
         self.nvars += 1
         return self.nvars
 
-    @property
-    def width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
-
     def copy(self) -> "Cnf":
         return Cnf(self.nvars, self.clauses)
 

@@ -57,11 +57,6 @@ class ResolutionProof:
     def __len__(self):
         return len(self.steps)
 
-    @property
-    def width(self) -> int:
-        return max((len(self.clause(i)) for i in range(len(self.steps))),
-                   default=0)
-
     def is_refutation(self) -> bool:
         return bool(self.steps) and self.clause(len(self.steps) - 1) == ()
 
@@ -382,35 +377,3 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
                 raise WidthBudgetError(
                     f"saturation exceeded {max_clauses} clauses at width {w}")
     return "saturated", None
-
-
-# ---------------------------------------------------------------------------
-# size experiment
-
-def interp_size_experiment(m_range=(1, 2, 3), max_conflicts=None):
-    """Rows {m, k, proofLength, interpolantSize, lexFirstSize}.
-
-    Uses the k = 2^m + 1 regime where the bit-1 pair is genuinely
-    unsatisfiable.  Cells that exhaust resources leave their fields None.
-    """
-    from . import benchgen
-    rows = []
-    for m in m_range:
-        k = (1 << m) + 1
-        row = {"m": m, "k": k, "proofLength": None,
-               "interpolantSize": None, "lexFirstSize": None}
-        params = benchgen.BphpParams(k, m, regime="interpolation")
-        row["lexFirstSize"] = benchgen.bphp_lexfirst_skolem(params).size
-        try:
-            instance = benchgen.bphp_interpolation_pair(params)
-            status, payload = solve_with_proof(instance.combined(),
-                                               max_conflicts=max_conflicts)
-            if status == "unsat":
-                proof = relabel_axioms(payload, instance)
-                row["proofLength"] = len(proof)
-                row["interpolantSize"] = extract_interpolant(
-                    instance, proof).size
-        except ResourceLimitError:  # resource limits leave the cell absent
-            pass
-        rows.append(row)
-    return rows

@@ -57,22 +57,6 @@ def labeled_rng(seed, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-class OracleResult:
-    """Outcome of a single satisfiability query."""
-
-    def __init__(self, status: str, model: dict = None):
-        assert status in ("sat", "unsat")
-        self.status = status
-        self.model = model  # var -> 0/1, total over queried vars when sat
-
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
-    def __repr__(self):
-        return f"OracleResult({self.status})"
-
-
 class CountEstimate:
     """A hash-based projected model-count estimate."""
 
@@ -122,11 +106,6 @@ class Oracle:
         self.max_query_vars = 0
         self.max_query_clauses = 0
 
-    def stats(self) -> dict:
-        return {"calls": self.calls, "wallTime": self.wall_time,
-                "maxQueryVars": self.max_query_vars,
-                "maxQueryClauses": self.max_query_clauses}
-
     def _open(self, cnf: Cnf):
         """A query on cnf that later solves may extend by clauses: an
         incremental Solver on "internal", a copy of cnf on "exec:"."""
@@ -134,11 +113,12 @@ class Oracle:
             return Solver(cnf)
         return _ExecQuery(cnf.nvars, cnf.clauses)
 
-    def _solve(self, query, cnf: Cnf, assumptions=()) -> OracleResult:
+    def _solve(self, query, cnf: Cnf, assumptions=()):
         """One counted solve of an open query on cnf under assumption
-        literals.  On "exec:" the assumptions become unit clauses of a
-        one-shot copy of the query.  The query size recorded is cnf's,
-        without the blocking clauses added since."""
+        literals: a model (var -> 0/1, total over the query's variables),
+        or None when the query is unsat.  On "exec:" the assumptions
+        become unit clauses of a one-shot copy of the query.  The query
+        size recorded is cnf's, without the blocking clauses added since."""
         t0 = time.monotonic()
         try:
             if isinstance(query, _ExecQuery):
@@ -146,9 +126,7 @@ class Oracle:
                     query = Cnf(query.nvars, query.clauses
                                 + [[a] for a in assumptions])
                 return solve_external(query, self.backend[5:], self.timeout)
-            if query.solve(assumptions):
-                return OracleResult("sat", query.model())
-            return OracleResult("unsat")
+            return query.model() if query.solve(assumptions) else None
         finally:
             self.calls += 1
             self.wall_time += time.monotonic() - t0
@@ -156,11 +134,11 @@ class Oracle:
             self.max_query_clauses = max(self.max_query_clauses,
                                          len(cnf.clauses))
 
-    def solve(self, cnf: Cnf) -> OracleResult:
-        """Decide cnf with one solve."""
+    def solve(self, cnf: Cnf):
+        """A model of cnf, or None when it is unsat, from one solve."""
         return self._solve(self._open(cnf), cnf)
 
-    def enumerate(self, cnf: Cnf, proj, limit: int = None):
+    def enumerate(self, cnf: Cnf, proj):
         """Distinct models projected to proj (order deterministic).
 
         One level-0 solve of a _NestedCells per model, so each model found
@@ -169,18 +147,13 @@ class Oracle:
         """
         proj = list(proj)
         cells = _NestedCells(cnf, proj, None, self)
-        count = 0
-        while count != limit:
-            model = cells.solve(0)
-            if model is None:
-                return
+        while (model := cells.solve(0)) is not None:
             yield tuple(model[v] for v in proj)
-            count += 1
 
 
-def solve_external(cnf: Cnf, command: str, timeout: float = None
-                   ) -> OracleResult:
-    """Run an external DIMACS solver and parse SAT-competition output.
+def solve_external(cnf: Cnf, command: str, timeout: float = None):
+    """Run an external DIMACS solver and parse SAT-competition output:
+    a model of cnf, or None when the solver reports it unsat.
 
     A model is checked against every clause of cnf; timeout is in seconds.
     """
@@ -229,14 +202,14 @@ def solve_external(cnf: Cnf, command: str, timeout: float = None
     if status is None:
         raise ExternalSolverError("no status line in solver output")
     if status == "unsat":
-        return OracleResult("unsat")
+        return None
     for v in range(1, cnf.nvars + 1):
         model.setdefault(v, 0)
     for clause in cnf.clauses:
         if not any(model[abs(l)] == (1 if l > 0 else 0) for l in clause):
             raise ExternalSolverError(
                 "external model does not satisfy the query")
-    return OracleResult("sat", model)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +288,13 @@ class _NestedCells:
             self._draw_row()
         if level >= self.complete or self.query.unsat:
             return None
-        res = self.oracle._solve(
+        found = self.oracle._solve(
             self.query, self.work,
             [a for a in self.assumptions[:level] if a is not None])
-        if not res.is_sat:
+        if found is None:
             self.complete = level
             return None
-        model = {v: res.model[v] for v in range(1, self.nvars + 1)}
+        model = {v: found[v] for v in range(1, self.nvars + 1)}
         bits = [model[v] for v in self.proj]
         self.kept.append((sum(b << i for i, b in enumerate(bits)), model))
         self.query.add_clause([-v if b else v

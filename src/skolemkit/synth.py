@@ -441,12 +441,11 @@ def _hypothesis_counterexample(spec: Specification, i: int, h: Circuit,
     yi = spec.y_vars[i - 1]
     cnf.add([yi, hl])
     cnf.add([-yi, -hl])
-    res = oracle.solve(cnf)
-    if not res.is_sat:
+    model = oracle.solve(cnf)
+    if model is None:
         return None
-    x = tuple(res.model[v] for v in spec.x_vars)
-    y = tuple(res.model[v] for v in spec.y_vars)
-    return x, y
+    return (tuple(model[v] for v in spec.x_vars),
+            tuple(model[v] for v in spec.y_vars))
 
 
 def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,

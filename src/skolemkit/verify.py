@@ -68,10 +68,10 @@ def verify_skolem(spec: Specification, candidate: SkolemVector,
                   oracle: Oracle = None) -> Verdict:
     """Valid, or a counterexample projected to X and Y."""
     oracle = oracle or Oracle()
-    res = oracle.solve(build_error_formula(spec, candidate))
-    if not res.is_sat:
+    model = oracle.solve(build_error_formula(spec, candidate))
+    if model is None:
         return Verdict("valid")
-    witness = {v: res.model[v] for v in spec.x_vars + spec.y_vars}
+    witness = {v: model[v] for v in spec.x_vars + spec.y_vars}
     return Verdict("counterexample", witness)
 
 
@@ -96,4 +96,4 @@ def check_unique(spec: Specification, i: int, z_vars,
     tseitin(spec.matrix, lambda v: hat[v], cnf, assert_outputs=True)
     cnf.add([yi, hat[yi]])
     cnf.add([-yi, -hat[yi]])
-    return not oracle.solve(cnf).is_sat
+    return oracle.solve(cnf) is None

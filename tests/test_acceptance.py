@@ -11,13 +11,13 @@ import random
 from skolemkit.benchgen import (BphpParams, TrapParams,
                                 bphp_interpolation_pair, bphp_lexfirst_skolem,
                                 gen_bphp, gen_factor, gen_planted_cover,
-                                gen_trap, simulate_sequential)
+                                gen_trap, interp_size_experiment,
+                                simulate_sequential)
 from skolemkit.circuits import Builder, SkolemVector
 from skolemkit.cnf import Cnf
 from skolemkit.formula import Specification
 from skolemkit.interplab import (bounded_width_refute, extract_interpolant,
-                                 interp_size_experiment, relabel_axioms,
-                                 solve_with_proof)
+                                 relabel_axioms, solve_with_proof)
 from skolemkit.oracle import Oracle, approx_count_projected, labeled_rng
 from skolemkit.synth import (count_consistent, encode_bounded_circuits,
                              synth_cover, synth_lex, synth_unique_bit)
@@ -245,9 +245,11 @@ def test_criterion_06_unique_bit_learner():
         if not verify_skolem(spec, vec, oracle).is_valid:
             continue
         finished += 1
-        counts = []
-        for r in range(len(last.cases) + 1):
-            enc = encode_bounded_circuits(spec.n, 1, last.s, last.cases[:r])
+        # one encoding narrowed case by case: the counts of every prefix
+        enc = encode_bounded_circuits(spec.n, 1, last.s, [])
+        counts = [count_consistent(enc)]
+        for case in last.cases:
+            enc.add_case(*case)
             counts.append(count_consistent(enc))
         if all(a > b for a, b in zip(counts, counts[1:])):
             decreases_ok += 1

@@ -82,9 +82,9 @@ def test_bphp_lexfirst_size_pinned(k, m, regime, size):
 
 def test_bphp_pair_unsat_iff_overloaded():
     overloaded = bphp_interpolation_pair(BphpParams(3, 1))
-    assert not Oracle().solve(overloaded.combined()).is_sat
+    assert Oracle().solve(overloaded.combined()) is None
     roomy = bphp_interpolation_pair(BphpParams(3, 3, regime="paper"))
-    assert Oracle().solve(roomy.combined()).is_sat
+    assert Oracle().solve(roomy.combined()) is not None
 
 
 def test_bphp_pair_width_and_partition():

@@ -328,6 +328,16 @@ def test_interp_exp_csv(tmp_path):
     assert main(["interp-exp", "--m", "zero"]) == 64
 
 
+def test_interp_exp_rejects_negative_conflict_budget(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["interp-exp", "--m", "1", "--max-conflicts", "-1"])
+    assert e.value.code == 64
+    err = capsys.readouterr().err
+    assert "--max-conflicts" in err and "Traceback" not in err
+    assert main(["interp-exp", "--m", "1", "--max-conflicts", "0",
+                 "-o", str(tmp_path / "rows.csv")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

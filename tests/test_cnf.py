@@ -23,7 +23,6 @@ def test_cnf_container():
     c.add([1, -2])
     c.add([3])
     assert c.nvars == 3
-    assert c.width == 2
     assert len(c) == 2
     d = c.copy()
     d.add([4])

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from skolemkit.benchgen import (BphpParams, bphp_interpolation_pair, gen_bphp)
+from skolemkit.benchgen import (BphpParams, bphp_interpolation_pair, gen_bphp,
+                                interp_size_experiment)
 from skolemkit.circuits import Builder
 from skolemkit.cnf import Cnf
 from skolemkit.formula import Specification
@@ -11,9 +12,9 @@ from skolemkit.interplab import (InterpolationInapplicableError,
                                  InterpolationInstance, ResolutionProof,
                                  WidthBudgetError, bounded_width_refute,
                                  check_proof, expand_chains,
-                                 extract_interpolant, interp_size_experiment,
-                                 relabel_axioms, resolve_clauses,
-                                 slivovsky_synth, solve_with_proof)
+                                 extract_interpolant, relabel_axioms,
+                                 resolve_clauses, slivovsky_synth,
+                                 solve_with_proof)
 from skolemkit.oracle import Oracle
 from skolemkit.verify import verify_skolem
 
@@ -173,10 +174,10 @@ def test_interpolant_contract_random():
 
 def test_bphp_pair_unsat_iff_overloaded():
     inst = bphp_interpolation_pair(BphpParams(3, 1))  # 3 pigeons, 2 holes
-    assert Oracle().solve(inst.combined()).status == "unsat"
+    assert Oracle().solve(inst.combined()) is None
     # paper regime (3, 3): 3 pigeons into 8 holes, no forced collision
     ok = bphp_interpolation_pair(BphpParams(3, 3, regime="paper"))
-    assert Oracle().solve(ok.combined()).status == "sat"
+    assert Oracle().solve(ok.combined()) is not None
 
 
 def test_bphp_interpolant_contract():
@@ -260,7 +261,8 @@ def test_bounded_width_saturates_then_refutes():
     status, proof = bounded_width_refute(cnf, 3)
     assert status == "refuted"
     assert check_proof(cnf, proof)
-    assert proof.width <= max(3, cnf.width)
+    assert (max(len(proof.clause(i)) for i in range(len(proof)))
+            <= max(3, max(len(c) for c in cnf.clauses)))
 
 
 def test_bounded_width_sat_formula():

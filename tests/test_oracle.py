@@ -39,14 +39,14 @@ def test_solve_trivial():
     c = Cnf(1)
     c.add([1])
     c.add([-1])
-    assert not Oracle().solve(c).is_sat
+    assert Oracle().solve(c) is None
 
 
 def test_solve_agrees_with_enumeration():
     rng = random.Random(13)
     for _ in range(100):
         cnf = random_cnf(rng, rng.randint(2, 8))
-        got = Oracle().solve(cnf).is_sat
+        got = Oracle().solve(cnf) is not None
         assert got == (brute_count(cnf, range(1, cnf.nvars + 1)) > 0)
 
 
@@ -55,7 +55,7 @@ def test_oracle_stats_and_enumerate():
     c = Cnf(3)
     c.add([1, 2])
     o.solve(c)
-    assert o.stats()["calls"] == 1
+    assert o.calls == 1
     got = sorted(o.enumerate(c, [1, 2]))
     assert got == [(0, 1), (1, 0), (1, 1)]
 
@@ -73,7 +73,7 @@ def test_external_agrees_with_internal(mini_solver):
     for _ in range(25):
         cnf = random_cnf(rng, rng.randint(2, 6))
         res = solve_external(cnf, mini_solver, 30)
-        assert res.is_sat == Oracle().solve(cnf).is_sat
+        assert (res is None) == (Oracle().solve(cnf) is None)
 
 
 def test_external_file_placeholder(tmp_path, mini_solver):
@@ -83,7 +83,7 @@ def test_external_file_placeholder(tmp_path, mini_solver):
     cnf = Cnf(2)
     cnf.add([1, 2])
     res = solve_external(cnf, f"{sh} {{file}}", 30)
-    assert res.is_sat
+    assert res is not None
 
 
 def test_external_garbled_output(tmp_path):
@@ -122,8 +122,8 @@ def test_oracle_exec_backend(mini_solver):
     cnf = Cnf(2)
     cnf.add([1])
     cnf.add([-1, 2])
-    res = o.solve(cnf)
-    assert res.is_sat and res.model[2] == 1
+    model = o.solve(cnf)
+    assert model is not None and model[2] == 1
     got = sorted(o.enumerate(cnf, [1, 2]))
     assert got == [(1, 1)]
 
@@ -156,7 +156,7 @@ def test_calls_equal_solver_runs(monkeypatch, solver_runs):
         before = len(solver_runs)
         o.solve(cnf)
         list(o.enumerate(cnf, proj))
-        list(o.enumerate(cnf, proj[:3], limit=2))
+        list(itertools.islice(o.enumerate(cnf, proj[:3]), 2))
         approx_count_projected(cnf, proj, seed=seed, oracle=o)
         with monkeypatch.context() as mp:
             # a pivot of 1 often needs trials that only supply the cell

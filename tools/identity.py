@@ -38,13 +38,20 @@ label prefix ``extra/``:
 * the emitted ``bphp_lexfirst_skolem`` vectors of bPHP (3,1), (4,1),
   (3,2), (5,2) and (9,3), the lexFirstSize denominators of acceptance
   criterion 10;
-* the rows of ``interp_size_experiment`` for m = 1, 2;
-* ``write_qdimacs`` of one spec per generator family.
+* the CSV of ``skolemkit interp-exp --m 1..2``;
+* ``write_qdimacs`` of one spec per generator family;
+* ``skolemkit synth --strategy cover``, ``verify`` (of that synthesized
+  vector), ``check-unique --bit 1`` and ``count --project x`` on the
+  "exec:" backend, whose solver is the brute-force ``MINI_SOLVER`` script
+  of ``tests/conftest.py``, on a 2-input AND spec and on ``gen planted
+  --n 3 --m 2 --k 2``; each record keeps the report's oracle calls,
+  which no Solver.solve run counts on that backend.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -52,6 +59,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 SEEDS = (1, 2, 3)
 ROUNDS = 2
 VOLATILE = ("timing", "outputFile")
@@ -200,7 +208,7 @@ def extra_jobs(workdir):
             yield f"cover/{name}/seed{cseed}", run
 
     # the bPHP ground truth (criterion 10's lexFirstSize) and the
-    # interpolation size experiment's rows
+    # interpolation size experiment's CSV
     for k, m, regime in [(3, 1, "interpolation"), (4, 1, "paper"),
                          (3, 2, "paper"), (5, 2, "interpolation"),
                          (9, 3, "interpolation")]:
@@ -208,8 +216,12 @@ def extra_jobs(workdir):
             return emit_skolem(benchgen.bphp_lexfirst_skolem(
                 benchgen.BphpParams(k, m, regime)))
         yield f"bphp-truth/{k}-{m}", run
-    yield "interp-exp", lambda: interplab.interp_size_experiment(
-        m_range=(1, 2))
+
+    def run():
+        path = os.path.join(workdir, "interp.csv")
+        rc = cli.main(["interp-exp", "--m", "1..2", "-o", path])
+        return [rc, Path(path).read_text()]
+    yield "interp-exp", run
 
     # write_qdimacs of one spec per generator family
     for name, make in [
@@ -220,6 +232,40 @@ def extra_jobs(workdir):
             ("planted", lambda: benchgen.gen_planted_cover(
                 12, 10, 4, seed=1)[0])]:
         yield f"qdimacs/{name}", lambda make=make: write_qdimacs(make())
+
+    # the exec: backend through the CLI, on a brute-force stub solver
+    stub_spec = importlib.util.spec_from_file_location(
+        "stub_solvers", TESTS / "conftest.py")
+    stubs = importlib.util.module_from_spec(stub_spec)
+    stub_spec.loader.exec_module(stubs)
+    solver = "exec:" + stubs._script(Path(workdir) / "mini.py",
+                                     stubs.MINI_SOLVER)
+    b = Builder()
+    and_spec = Specification([1, 2], [3], b.extract([b.xnor_(
+        b.inp(3), b.and_(b.inp(1), b.inp(2)))]))
+    and_path = os.path.join(workdir, "and.qdimacs")
+    Path(and_path).write_text(write_qdimacs(and_spec))
+    planted_path = os.path.join(workdir, "planted-3.qdimacs")
+    if cli.main(["gen", "planted", "--n", "3", "--m", "2", "--k", "2",
+                 "-o", planted_path]) != 0:
+        raise RuntimeError("gen planted-3 failed")
+    for name, path in [("and", and_path), ("planted-3", planted_path)]:
+        vec = os.path.join(workdir, f"{name}.skolem")
+        for command, args in [
+                ("synth", ["--strategy", "cover", "-o", vec]),
+                ("verify", [vec]), ("check-unique", ["--bit", "1"]),
+                ("count", ["--project", "x"])]:
+            def run(name=name, command=command, path=path, args=args,
+                    vec=vec):
+                rep = os.path.join(workdir, f"{name}-{command}.json")
+                rc = cli.main([command, path, *args, "--solver", solver,
+                               "--json", rep])
+                report = json.loads(Path(rep).read_text())
+                out = [rc, report, report["oracle"]["calls"]]
+                if command == "synth":
+                    out.append(Path(vec).read_text())
+                return out
+            yield f"exec/{name}/{command}", run
 
 
 CLASSES = ("identical", "solves differ", "output differs, same function",
