@@ -62,6 +62,8 @@ class Solver:
         self.reason: list = [None]  # stale once the variable is unassigned
         self.saved: list[bool] = [False]
         self.activity: list[float] = [0.0]
+        # the activity of var's one entry known to be in the heap, or None
+        self.live: list = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -96,6 +98,7 @@ class Solver:
             self.reason += [None] * extra
             self.saved += [False] * extra
             self.activity += [0.0] * extra
+            self.live += [None] * extra
         self.nvars = n
 
     def _watch(self, cl: _Clause, a: int, b: int):
@@ -219,24 +222,31 @@ class Solver:
 
     def _bump(self, variables):
         """Raise the activity of each variable in turn."""
-        activity, heap, inc = self.activity, self.heap, self.var_inc
+        activity, heap, live, inc = (self.activity, self.heap, self.live,
+                                     self.var_inc)
         for var in variables:
             activity[var] += inc
             if activity[var] > 1e100:
                 activity[:] = [a * 1e-100 for a in activity]
                 inc *= 1e-100
+                # entries of activity 0 are the only ones still valid
+                live[:] = [a if a == 0 else None for a in live]
             heappush(heap, (-activity[var], var))
+            live[var] = activity[var]
         self.var_inc = inc
 
     def _decay(self):
         self.var_inc /= 0.95
 
     def _pick_branch_var(self):
-        heap, vals, activity = self.heap, self.vals, self.activity
+        heap, vals, activity, live = (self.heap, self.vals, self.activity,
+                                      self.live)
         while heap:
             negact, var = heappop(heap)
-            if vals[var] is None and -negact == activity[var]:
-                return var
+            if -negact == activity[var]:
+                live[var] = None
+                if vals[var] is None:
+                    return var
         for var in range(1, self.nvars + 1):
             if vals[var] is None:
                 return var
@@ -316,12 +326,15 @@ class Solver:
         if len(trail_lim) > lvl:
             trail, vals = self.trail, self.vals
             saved, activity, heap = self.saved, self.activity, self.heap
+            live = self.live
             lim = trail_lim[lvl]
             for lit in trail[lim:]:
                 var = abs(lit)
                 saved[var] = lit > 0
                 vals[lit] = vals[-lit] = None
-                heappush(heap, (-activity[var], var))
+                if live[var] != activity[var]:
+                    heappush(heap, (-activity[var], var))
+                    live[var] = activity[var]
             del trail[lim:]
             del trail_lim[lvl:]
         self.qhead = min(self.qhead, len(self.trail))

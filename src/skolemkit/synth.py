@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .circuits import (Builder, Circuit, SkolemVector, input_masks, sweep,
                        vector_from_circuits)
 from .cnf import Cnf, tseitin
@@ -209,6 +207,7 @@ def _function_table(p: int, s: int) -> tuple:
     in the same pattern share one evaluation of all table combos, gate
     t's table on axis t.
     """
+    import numpy as np
     combos = np.arange(16 ** s, dtype=np.int32)
     if p == 1:      # a one-operand gate has no mixed truth-table entries
         combos = combos[(combos >> 4 * (s - 1) & 0b0110) == 0]
@@ -296,6 +295,7 @@ class CircuitEncoding:
         target = y[self.i - 1]
         self.cases.append((x, y))
         if self.weights is not None:
+            import numpy as np
             point = np.array([sum(inp[v] << k for k, v in
                                   enumerate(reversed(slots)))
                               for slots in self.slots])
@@ -320,6 +320,7 @@ class CircuitEncoding:
 
     def representative(self, group: int) -> Circuit:
         """The circuit of the one structure kept for a group."""
+        import numpy as np
         dims = [len(pp) for pp in self.pairs] + [16] * self.s
         index = [int(v) for v in np.unravel_index(self.reps[group], dims)]
         return self.decode_structure(index[:self.s], index[self.s:])
@@ -378,11 +379,11 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
     the CNF (see approx_count_projected)."""
     oracle = oracle or Oracle()
     if encoding.weights is not None:
-        live = np.flatnonzero(encoding.weights)
+        live = encoding.weights.nonzero()[0]
         if len(live):
             rng = labeled_rng(seed, "pool/vector")
-            picks = rng.choices(live.tolist(), k=count, cum_weights=np.cumsum(
-                encoding.weights[live]).tolist())
+            cum = encoding.weights[live].cumsum().tolist()
+            picks = rng.choices(live.tolist(), k=count, cum_weights=cum)
             return [encoding.representative(g) for g in picks]
     else:
         est = approx_count_projected(

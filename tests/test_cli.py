@@ -1,9 +1,14 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skolemkit
 from skolemkit import synth
 from skolemkit.benchgen import gen_factor
 from skolemkit.circuits import Circuit, vector_from_circuits
@@ -336,6 +341,42 @@ def test_interp_exp_rejects_negative_conflict_budget(tmp_path, capsys):
     assert "--max-conflicts" in err and "Traceback" not in err
     assert main(["interp-exp", "--m", "1", "--max-conflicts", "0",
                  "-o", str(tmp_path / "rows.csv")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+COLD_START = """
+import json, sys
+from skolemkit.cli import main
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_cold_start_imports_numpy_only_for_the_learner(tmp_path, spec_file):
+    # one fresh interpreter imports the CLI, then runs the commands in turn
+    spec, vec = str(tmp_path / "planted.qdimacs"), str(tmp_path / "v.skolem")
+    commands = [
+        ["gen", "planted", "--n", "4", "--m", "3", "--k", "2", "-o", spec],
+        ["synth", spec, "--strategy", "cover", "-o", vec],
+        ["synth", spec, "--strategy", "lex", "-o", vec],
+        ["verify", spec, vec],
+        ["count", spec],
+        ["check-unique", spec, "--bit", "1"],
+        ["synth", spec_file, "--strategy", "unique", "-o", vec],
+    ]
+    src = str(Path(skolemkit.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    # import, then every command before the learner's exact tier
+    assert loaded == [False] * 7 + [True]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from skolemkit.benchgen import BphpParams, bphp_interpolation_pair, gen_factor
 from skolemkit.cnf import Cnf
 from skolemkit.interplab import check_proof, expand_chains
 from skolemkit.oracle import Oracle
 from skolemkit.solver import ResourceLimitError, Solver, luby
+from skolemkit.synth import synth_lex
+from skolemkit.verify import build_error_formula
 
 
 def brute_sat(cnf):
@@ -277,3 +280,26 @@ def test_conflict_budget():
 def test_luby_sequence():
     got = [luby(i) for i in range(15)]
     assert got == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def _bphp_pair(k, m):
+    return bphp_interpolation_pair(BphpParams(k, m)).combined()
+
+
+def _factor_error(bits):
+    spec = gen_factor(bits)
+    return build_error_formula(spec, synth_lex(spec))
+
+
+@pytest.mark.parametrize("make, args, conflicts, steps", [
+    (_bphp_pair, (5, 2), 54, 183),
+    (_factor_error, (4,), 34, 1909),
+    # the activities are rescaled after about 4,490 conflicts
+    (_bphp_pair, (9, 3), 4491, 14947),
+])
+def test_search_pinned(make, args, conflicts, steps):
+    # the decisions of fixed refutations: any change to the branching
+    # heuristic, the heap or the learned clauses moves these numbers
+    s = Solver(make(*args), log_proof=True)
+    assert not s.solve()
+    assert (s.conflicts, len(expand_chains(s))) == (conflicts, steps)
