@@ -349,11 +349,10 @@ def test_interp_exp_rejects_negative_conflict_budget(tmp_path, capsys):
 COLD_START = """
 import json, sys
 from skolemkit.cli import main
-loaded = ["numpy" in sys.modules]
+ran = [(None, "numpy" in sys.modules)]
 for argv in json.loads(sys.argv[1]):
-    main(argv)
-    loaded.append("numpy" in sys.modules)
-print(json.dumps(loaded))
+    ran.append((main(argv), "numpy" in sys.modules))
+print(json.dumps(ran))
 """
 
 
@@ -374,9 +373,11 @@ def test_cold_start_imports_numpy_only_for_the_learner(tmp_path, spec_file):
         [sys.executable, "-c", COLD_START, json.dumps(commands)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True)
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    # import, then every command before the learner's exact tier
-    assert loaded == [False] * 7 + [True]
+    ran = [tuple(r) for r in json.loads(run.stdout.splitlines()[-1])]
+    # every command ran to a verdict of 0 (bit 1 of the planted spec is
+    # unique); numpy stays out through the import and every command before
+    # the learner's exact tier
+    assert ran == [(None, False)] + [(0, False)] * 6 + [(0, True)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Identity, acceptance-criteria and benchmark record of the working tree
 against a parent revision.
 
-Usage: python3 tools/ab.py PARENT_REV [--pairs N [--json PATH]]
+Usage: python3 tools/ab.py PARENT_REV [--json PATH]
 
 Extracts ``git archive PARENT_REV`` into a temporary directory, then:
 
@@ -12,17 +12,18 @@ Extracts ``git archive PARENT_REV`` into a temporary directory, then:
    ``src`` first on ``PYTHONPATH``, and prints the criterion lines side
    by side, with ``*`` marking a criterion whose line differs.
 
-With ``--pairs N`` it then copies the working tree's files (tracked and
-untracked, without the ignored ones) next to the parent tree and, for
-every workload of ``BENCHMARK.json``, runs N pairs of untraced
-``bench/run.py`` runs on seeds 1..N, each side from its own copy, the
+With ``--json PATH`` it then copies the working tree's files (tracked
+and untracked, without the ignored ones) next to the parent tree and,
+for every workload of ``BENCHMARK.json``, runs 10 pairs of untraced
+``bench/run.py`` runs on seeds 1..10, each side from its own copy, the
 side that runs first alternating with the pair, then one ``--trace 1``
-run per side on seed N + 1.  It prints, per end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles
+run per side on seed 11.  Ten pairs is the fewest a claimed gain can
+rest on (the change must win nine of them).  It prints, per end-to-end
+metric of ``BENCHMARK.json``, each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the
-change wins and the metric's bound.  ``--json PATH`` writes the record
-in the schema of ``BENCH_21.json``, with the traced runs under
-``traced`` and ``claim`` left null.
+change wins and the metric's bound, and writes the record to PATH in
+the schema of ``BENCH_21.json``, with the traced runs under ``traced``
+and ``claim`` left null.
 
 Exits 1 if a function differs (see identity.py), if a criterion line on
 either tree is missing or not PASS, if pytest fails on either tree, or
@@ -51,6 +52,7 @@ TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 CRITERION = re.compile(r"criterion (\d+): (.*)")
 SIDES = ("parent", "change")
+PAIRS = 10  # bench/run.py pairs per workload
 
 
 def identity(tree: Path, out: Path):
@@ -145,13 +147,13 @@ def summarize(runs, n: int, metrics) -> dict:
     return out
 
 
-def bench_pairs(trees: dict, n: int, parent_rev: str, json_path) -> bool:
-    """Run and print the pairs and traced runs; True if every run is
-    clean."""
+def bench_pairs(trees: dict, parent_rev: str, json_path) -> bool:
+    """Run and print the pairs and traced runs, write the record; True if
+    every run is clean."""
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     metrics = spec["end_to_end"]
-    runs, traced, workloads = [], [], {}
+    runs, traced, workloads, n = [], [], {}, PAIRS
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in range(1, n + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -177,50 +179,46 @@ def bench_pairs(trees: dict, n: int, parent_rev: str, json_path) -> bool:
         for rec in traced[-2:]:
             print(f"  traced {rec['side']}: exit {rec['exit']}, "
                   f"{rec['attempted']} jobs, {rec['failed']} failed")
-    if json_path:
-        parent_commit = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", parent_rev],
-            capture_output=True, text=True, check=True).stdout.strip()
-        record = {
-            "what": f"bench/run.py end-to-end metrics for the parent commit "
-                    f"and the working tree: {n} alternating untraced pairs "
-                    f"per workload (seeds 1-{n}), then one --trace 1 run "
-                    f"of every workload on each side (seed {n + 1})",
-            "command": "python3 bench/run.py --workload W --seed N --trace "
-                       "0 (BENCHMARK.json run_seconds), each side from its "
-                       "own copy of its tree, the side that runs first "
-                       "alternating with the pair",
-            "quartiles": "statistics.quantiles(n=4, method='inclusive') "
-                         "over the runs of one side",
-            "python": platform.python_version(),
-            "machine": f"{os.cpu_count()}-CPU {platform.machine()} "
-                       f"{platform.system()}; timings in calibrated "
-                       f"reference seconds (bench/calibrate.py)",
-            "date": datetime.date.today().isoformat(),
-            "parent_commit": parent_commit,
-            "claim": None,
-            "workloads": workloads,
-            "runs": runs,
-            "traced": traced,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
+    parent_commit = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", parent_rev],
+        capture_output=True, text=True, check=True).stdout.strip()
+    record = {
+        "what": f"bench/run.py end-to-end metrics for the parent commit "
+                f"and the working tree: {n} alternating untraced pairs "
+                f"per workload (seeds 1-{n}), then one --trace 1 run "
+                f"of every workload on each side (seed {n + 1})",
+        "command": "python3 bench/run.py --workload W --seed N --trace "
+                   "0 (BENCHMARK.json run_seconds), each side from its "
+                   "own copy of its tree, the side that runs first "
+                   "alternating with the pair",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') "
+                     "over the runs of one side",
+        "python": platform.python_version(),
+        "machine": f"{os.cpu_count()}-CPU {platform.machine()} "
+                   f"{platform.system()}; timings in calibrated "
+                   f"reference seconds (bench/calibrate.py)",
+        "date": datetime.date.today().isoformat(),
+        "parent_commit": parent_commit,
+        "claim": None,
+        "workloads": workloads,
+        "runs": runs,
+        "traced": traced,
+    }
+    with open(json_path, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
     return not any(r["exit"] or r["failed"] or not r["correct"]
                    for r in runs + traced)
 
 
 def main(argv) -> int:
     p = argparse.ArgumentParser(
-        usage="python3 tools/ab.py PARENT_REV [--pairs N [--json PATH]]")
+        usage="python3 tools/ab.py PARENT_REV [--json PATH]")
     p.add_argument("parent_rev")
-    p.add_argument("--pairs", type=int, default=0,
-                   help="bench/run.py pairs per workload (default: none)")
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the bench record here (needs --pairs)")
+                   help=f"run {PAIRS} bench/run.py pairs per workload and "
+                        f"write their record here (default: no bench runs)")
     args = p.parse_args(argv)
-    if args.json and args.pairs < 1:
-        p.error("--json needs --pairs N with N >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
@@ -252,12 +250,12 @@ def main(argv) -> int:
         if status_a or status_b:
             print(f"pytest exit status: {status_a} | {status_b}", flush=True)
 
-        if args.pairs:
+        if args.json:
             change = tmp / "change"
             change.mkdir()
             copy_working_tree(change)
             failing |= not bench_pairs({"parent": parent, "change": change},
-                                       args.pairs, args.parent_rev, args.json)
+                                       args.parent_rev, args.json)
     return 1 if differs or failing else 0
 
 
