@@ -15,7 +15,7 @@ import itertools
 from .circuits import Builder, Circuit, vector_from_circuits
 from .cnf import Cnf, tseitin
 from .formula import Specification, substitute
-from .solver import ResourceLimitError, Solver
+from .solver import ResourceLimitError, Solver, _Clause
 
 
 class ProofError(ValueError):
@@ -101,14 +101,16 @@ def solve_with_proof(cnf: Cnf, max_conflicts: int = None):
         return "sat", s.model()
     if s.empty_chain is None:
         raise ProofError("refutation found but no proof chain was recorded")
-    return "unsat", expand_chains(s)
+    return "unsat", expand_chains(s.empty_chain)
 
 
-def expand_chains(solver: Solver) -> ResolutionProof:
-    """Expand the solver's learned-clause chains into binary resolutions.
+def expand_chains(empty_chain) -> ResolutionProof:
+    """Expand the chain that derives the empty clause into binary
+    resolutions, re-deriving and comparing each resolvent.
 
-    Chains hold their clauses; the walk from the empty-clause chain
-    materializes each clause of its cone once.  Axioms are labelled "input".
+    Chains hold their clauses (solver._Clause, from CDCL learning or
+    width-bounded saturation); the walk materializes each clause of the
+    cone once.  Axioms, the clauses without a chain, are labelled "input".
     """
     proof = ResolutionProof()
     memo = {}   # clause object -> proof index
@@ -139,7 +141,7 @@ def expand_chains(solver: Solver) -> ResolutionProof:
             raise ProofError("chain replay did not reach the learned clause")
         return idx
 
-    replay(solver.empty_chain, set())
+    replay(empty_chain, set())
     return proof
 
 
@@ -290,13 +292,11 @@ def slivovsky_synth(spec: Specification):
 
 def relabel_axioms(proof: ResolutionProof,
                    instance: InterpolationInstance) -> ResolutionProof:
-    """Replace axiom origins using the instance's side membership."""
+    """A copy with axiom origins from the instance's side membership; it
+    shares the input's resolve steps, and the input is not mutated."""
     out = ResolutionProof()
-    for step in proof.steps:
-        if step[0] == "axiom":
-            out.add_axiom(step[1], instance.origin_of(step[1]))
-        else:
-            out.add_resolve(step[1], step[2], step[3], step[4])
+    out.steps = [("axiom", step[1], instance.origin_of(step[1]))
+                 if step[0] == "axiom" else step for step in proof.steps]
     return out
 
 
@@ -314,38 +314,18 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
     ("refuted", ResolutionProof) as soon as the empty clause appears, or
     ("saturated", None) at fixpoint; complete for width-w refutability.
     """
-    parents = {}  # each clause kept -> None (axiom) or (left, right, pivot)
+    kept = {}  # clause -> _Clause; a resolvent's chain is one step
     counter = itertools.count()  # heap tie-breaker
     queue = []
     for c in cnf.clauses:
         cl = tuple(sorted(set(c)))
         if any(-l in cl for l in cl):
             continue
-        if cl not in parents:
-            parents[cl] = None
+        if cl not in kept:
+            kept[cl] = _Clause(cl)
             heapq.heappush(queue, (len(cl), next(counter), cl))
-
-    def reconstruct(goal):
-        proof = ResolutionProof()
-        idx_of = {}
-
-        def build(cl):
-            if cl in idx_of:
-                return idx_of[cl]
-            par = parents[cl]
-            if par is None:
-                idx = proof.add_axiom(cl)
-            else:
-                left, right, pivot = par
-                idx = proof.add_resolve(build(left), build(right), pivot, cl)
-            idx_of[cl] = idx
-            return idx
-
-        build(goal)
-        return proof
-
-    if () in parents:
-        return "refuted", reconstruct(())
+    if () in kept:
+        return "refuted", expand_chains((kept[()], []))
     by_lit = {}
 
     def index(cl):
@@ -367,13 +347,13 @@ def bounded_width_refute(cnf: Cnf, w: int, max_clauses: int = 200000):
                 continue
             if len(res) > w and res != ():
                 continue
-            if res in parents:
+            if res in kept:
                 continue
-            parents[res] = (cl, other, pivot)
+            kept[res] = _Clause(res, (kept[cl], [(kept[other], pivot)]))
             if res == ():
-                return "refuted", reconstruct(())
+                return "refuted", expand_chains(kept[res].chain)
             heapq.heappush(queue, (len(res), next(counter), res))
-            if len(parents) > max_clauses:
+            if len(kept) > max_clauses:
                 raise WidthBudgetError(
                     f"saturation exceeded {max_clauses} clauses at width {w}")
     return "saturated", None

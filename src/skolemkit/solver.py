@@ -298,28 +298,27 @@ class Solver:
         return (learned, bj,
                 (conflict, chain) if chain is not None else None)
 
-    def _resolve_to_empty(self, start_cl: _Clause, lits: set):
-        """All of ``lits`` are false at level 0: chain down to empty."""
-        lits = set(lits)
+    def _derive_falsified(self, cl: _Clause):
+        """All of cl's literals are false at level 0: chain down to the
+        empty clause.  empty_chain is None if a literal has no reason."""
+        self.empty_chain = None
+        lits = set(cl.lits)
         chain = []
         idx = len(self.trail) - 1
         while lits:
             while idx >= 0 and -self.trail[idx] not in lits:
                 idx -= 1
             if idx < 0:
-                return None
+                return
             t = self.trail[idx]
             idx -= 1
             r = self.reason[abs(t)]
             if r is None:
-                return None
+                return
             lits.discard(-t)
             lits |= set(x for x in r.lits if x != t)
             chain.append((r, abs(t)))
-        return (start_cl, chain)
-
-    def _derive_falsified(self, cl: _Clause):
-        self.empty_chain = self._resolve_to_empty(cl, set(cl.lits))
+        self.empty_chain = (cl, chain)
 
     def _backjump(self, lvl: int):
         trail_lim = self.trail_lim

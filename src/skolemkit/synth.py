@@ -37,10 +37,6 @@ class BudgetExceededError(ResourceLimitError):
     """The unique-bit learner found no hypothesis up to its size bound."""
 
 
-class InconsistentEncodingError(Exception):
-    """No bounded circuit is consistent with the stored counterexamples."""
-
-
 # ---------------------------------------------------------------------------
 # lexicographic-first (closed form)
 
@@ -376,7 +372,8 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
     """`count` near-uniform consistent circuits: on the exact tier,
     groups drawn by weight, which over functions is the uniform draw over
     structures; otherwise draws with replacement from the counted cell of
-    the CNF (see approx_count_projected)."""
+    the CNF (see approx_count_projected).  The pool is empty when no
+    circuit of this size fits the counterexamples."""
     oracle = oracle or Oracle()
     if encoding.weights is not None:
         live = encoding.weights.nonzero()[0]
@@ -394,8 +391,7 @@ def sample_candidate_pool(encoding: CircuitEncoding, count: int,
             rng = labeled_rng(seed, "pool/cell")
             return [encoding.decode_structure(*encoding.structure_of(model))
                     for model in rng.choices(est.cell, k=count)]
-    raise InconsistentEncodingError(
-        "no circuit of this size fits the counterexamples")
+    return []
 
 
 def majority_hypothesis(pool: list) -> Circuit:
@@ -467,17 +463,16 @@ def synth_unique_bit(spec: Specification, i: int, oracle: Oracle = None,
         enc = encode_bounded_circuits(spec.n, i, s, [])
         if state_log is not None:
             state_log.append(enc)
-        try:
-            for r in range(budget):
-                pool = sample_candidate_pool(
-                    enc, d * s, oracle, seed=f"{seed}/bit{i}/s{s}/r{r}")
-                h = majority_hypothesis(pool)
-                ce = _hypothesis_counterexample(spec, i, h, oracle)
-                if ce is None:
-                    return sweep(h)
-                enc.add_case(*ce)
-        except InconsistentEncodingError:
-            pass  # size bound too small for any consistent circuit
+        for r in range(budget):
+            pool = sample_candidate_pool(
+                enc, d * s, oracle, seed=f"{seed}/bit{i}/s{s}/r{r}")
+            if not pool:
+                break  # size bound too small for any consistent circuit
+            h = majority_hypothesis(pool)
+            ce = _hypothesis_counterexample(spec, i, h, oracle)
+            if ce is None:
+                return sweep(h)
+            enc.add_case(*ce)
     raise BudgetExceededError(
         f"unique-bit learner failed up to size bound {max_s} for Y_{i}")
 

@@ -94,7 +94,7 @@ def test_expand_chains_from_solver():
     cnf.add([-3])
     s = Solver(cnf, log_proof=True)
     assert not s.solve()
-    flat = expand_chains(s)
+    flat = expand_chains(s.empty_chain)
     assert check_proof(cnf, flat)
     assert flat.is_refutation()
 
@@ -188,6 +188,23 @@ def test_bphp_interpolant_contract():
     assert interpolant_contract_ok(inst, circ)
 
 
+def test_relabel_axioms_labels_by_side_and_keeps_input():
+    inst = bphp_interpolation_pair(BphpParams(5, 2))
+    status, proof = solve_with_proof(inst.combined())
+    assert status == "unsat"
+    before = list(proof.steps)
+    out = relabel_axioms(proof, inst)
+    assert proof.steps == before
+    assert len(out) == len(proof)
+    for old, new in zip(proof.steps, out.steps):
+        if old[0] == "axiom":
+            assert old[2] == "input"
+            assert new == ("axiom", old[1], inst.origin_of(old[1]))
+        else:
+            assert new == old
+    assert {"phi0", "phi1"} <= {st[2] for st in out.steps if st[0] == "axiom"}
+
+
 # ---------------------------------------------------------------------------
 # synthesis via interpolation
 
@@ -263,6 +280,15 @@ def test_bounded_width_saturates_then_refutes():
     assert check_proof(cnf, proof)
     assert (max(len(proof.clause(i)) for i in range(len(proof)))
             <= max(3, max(len(c) for c in cnf.clauses)))
+
+
+@pytest.mark.parametrize("k, m, w, steps", [(5, 2, 5, 307), (3, 1, 2, 12)])
+def test_width_refutation_pinned(k, m, w, steps):
+    # criterion 8's refutations, at the least width that refutes each pair
+    inst = bphp_interpolation_pair(BphpParams(k, m))
+    status, proof = bounded_width_refute(inst.combined(), w)
+    assert status == "refuted" and len(proof) == steps
+    assert check_proof(inst.combined(), proof)
 
 
 def test_bounded_width_sat_formula():

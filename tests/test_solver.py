@@ -133,7 +133,7 @@ def test_growing_session_against_brute_force():
         if s.unsat or not s.solve():
             # a refutation of the whole formula replays as a proof
             assert brute_sat(ref) is None
-            assert check_proof(ref, expand_chains(s))
+            assert check_proof(ref, expand_chains(s.empty_chain))
             refutations += 1
     assert refutations > 20 and assumption_unsats > 10
 
@@ -209,7 +209,7 @@ def test_enumeration_without_restarts_against_brute_force():
             assert got == want
         assert brute_sat(ref) is None
         assert not twin.solve()
-        assert check_proof(ref, expand_chains(twin))
+        assert check_proof(ref, expand_chains(twin.empty_chain))
     assert resumed > 100
 
 
@@ -302,4 +302,5 @@ def test_search_pinned(make, args, conflicts, steps):
     # heuristic, the heap or the learned clauses moves these numbers
     s = Solver(make(*args), log_proof=True)
     assert not s.solve()
-    assert (s.conflicts, len(expand_chains(s))) == (conflicts, steps)
+    assert ((s.conflicts, len(expand_chains(s.empty_chain)))
+            == (conflicts, steps))

@@ -39,6 +39,9 @@ label prefix ``extra/``:
   (3,2), (5,2) and (9,3), the lexFirstSize denominators of acceptance
   criterion 10;
 * the CSV of ``skolemkit interp-exp --m 1..2``;
+* acceptance criterion 8's ``bounded_width_refute`` on the bPHP
+  interpolation pairs (5,2) at w = 2..5 and (3,1) at w = 0 and 2: the
+  verdict and the steps of the width proof;
 * ``write_qdimacs`` of one spec per generator family;
 * ``skolemkit synth --strategy cover``, ``verify`` (of that synthesized
   vector), ``check-unique --bit 1`` and ``count --project x`` on the
@@ -222,6 +225,15 @@ def extra_jobs(workdir):
         rc = cli.main(["interp-exp", "--m", "1..2", "-o", path])
         return [rc, Path(path).read_text()]
     yield "interp-exp", run
+
+    # criterion 8: width-bounded saturation, saturated or refuted
+    for k, m, widths in [(5, 2, (2, 3, 4, 5)), (3, 1, (0, 2))]:
+        for w in widths:
+            def run(k=k, m=m, w=w):
+                pair = benchgen.bphp_interpolation_pair(
+                    benchgen.BphpParams(k, m))
+                return interplab.bounded_width_refute(pair.combined(), w)
+            yield f"width/{k}-{m}/w{w}", run
 
     # write_qdimacs of one spec per generator family
     for name, make in [
