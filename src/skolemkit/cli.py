@@ -51,6 +51,13 @@ def at_least(k: int):
     return integer
 
 
+def positive(text: str) -> float:
+    """An argparse type: a finite number above 0."""
+    if 0 < float(text) < float("inf"):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"must be finite and above 0: {text}")
+
+
 def _make_oracle(args) -> Oracle:
     """The run's oracle; without --solver, a set SKOLEMKIT_SOLVER means
     exec:$SKOLEMKIT_SOLVER.  Oracle rejects an unknown backend."""
@@ -258,7 +265,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--solver", default=None,
                         help="internal or exec:COMMAND (default: exec:"
                              "$SKOLEMKIT_SOLVER if set, else internal)")
-        sp.add_argument("--timeout", type=float, default=None,
+        sp.add_argument("--timeout", type=positive, default=None,
                         help="per-query timeout for external solvers")
 
     sp = sub.add_parser("synth", help="synthesize a Skolem vector")

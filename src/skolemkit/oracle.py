@@ -156,6 +156,7 @@ def solve_external(cnf: Cnf, command: str, timeout: float = None):
     a model of cnf, or None when the solver reports it unsat.
 
     A model is checked against every clause of cnf; timeout is in seconds.
+    A timeout or an ``s UNKNOWN`` answer raises ResourceLimitError.
     """
     dimacs = cnf.to_dimacs()
     argv = shlex.split(command)
@@ -190,6 +191,8 @@ def solve_external(cnf: Cnf, command: str, timeout: float = None):
                 status = "sat"
             elif word == "UNSATISFIABLE":
                 status = "unsat"
+            elif word == "UNKNOWN":  # the solver gave up
+                raise ResourceLimitError(f"external solver answered {line!r}")
             else:
                 raise ExternalSolverError(f"unrecognized status line {line!r}")
         elif line.startswith("v "):

@@ -3,8 +3,8 @@
 Watched literals, activity-based decisions with phase saving, Luby
 restarts, 1UIP clause learning.  Learning is done on explicit literal
 sets so that every learned clause carries the exact sequence of binary
-resolution steps that derives it; a refutation can then be replayed as a
-checkable resolution proof.
+resolution steps that derives it; the same walk at level 0 derives the
+empty clause, so a refutation can be replayed as a checkable proof.
 
 State lives in flat lists, as in MiniSat (Eén & Sörensson, SAT 2003).
 Level, reason, saved phase and activity are indexed by variable.  Values
@@ -124,8 +124,7 @@ class Solver:
             return None  # tautology
         cl = _Clause(tuple(clause))
         if not clause:
-            self.unsat = True
-            self.empty_chain = (cl, [])
+            self._refute(cl)
             return cl
         vals, level = self.vals, self.level
         if (self.trail_lim and not self.log_proof and len(clause) > 1
@@ -141,9 +140,7 @@ class Solver:
         self._backjump(0)
         nonfalse = [l for l in clause if vals[l] is not False]
         if not nonfalse:
-            self.unsat = True
-            if self.log_proof:
-                self._derive_falsified(cl)
+            self._refute(cl)
             return cl
         if len(nonfalse) == 1:
             self.pending_units.append((nonfalse[0], cl))
@@ -258,7 +255,9 @@ class Solver:
         """1UIP learning on explicit literal sets.
 
         Returns (learned_lits ordered by decreasing level, backjump_level,
-        chain) where chain mirrors the performed resolutions.
+        chain) where chain mirrors the performed resolutions.  At level 0
+        the walk resolves every literal away: the learned clause is empty
+        and chain derives it from a conflict clause false at the root.
         """
         trail, level, reason = self.trail, self.level, self.reason
         cur_level = len(self.trail_lim)
@@ -267,7 +266,8 @@ class Solver:
         chain = [] if self.log_proof else None
         bumped = []  # resolved variables, then the learned clause's
         idx = len(trail) - 1
-        while n_cur > 1:
+        stop = 1 if cur_level else 0  # level 0 has no decision
+        while n_cur > stop:
             # A level starts with its one literal without a reason, a
             # decision or an assumption; every later literal has one.  Of
             # two or more current-level literals in lits, the latest on
@@ -298,27 +298,12 @@ class Solver:
         return (learned, bj,
                 (conflict, chain) if chain is not None else None)
 
-    def _derive_falsified(self, cl: _Clause):
-        """All of cl's literals are false at level 0: chain down to the
-        empty clause.  empty_chain is None if a literal has no reason."""
-        self.empty_chain = None
-        lits = set(cl.lits)
-        chain = []
-        idx = len(self.trail) - 1
-        while lits:
-            while idx >= 0 and -self.trail[idx] not in lits:
-                idx -= 1
-            if idx < 0:
-                return
-            t = self.trail[idx]
-            idx -= 1
-            r = self.reason[abs(t)]
-            if r is None:
-                return
-            lits.discard(-t)
-            lits |= set(x for x in r.lits if x != t)
-            chain.append((r, abs(t)))
-        self.empty_chain = (cl, chain)
+    def _refute(self, cl: _Clause):
+        """cl is empty or false at level 0: the formula is unsatisfiable.
+        In proof mode, _analyze derives the empty clause from cl."""
+        self.unsat = True
+        if self.log_proof:
+            self.empty_chain = self._analyze(cl)[2]
 
     def _backjump(self, lvl: int):
         trail_lim = self.trail_lim
@@ -360,9 +345,7 @@ class Solver:
         for lit, cl in self.pending_units:
             val = vals[lit]
             if val is False:
-                self.unsat = True
-                if self.log_proof:
-                    self._derive_falsified(cl)
+                self._refute(cl)
                 return False
             if val is None:
                 self._enqueue(lit, cl)
@@ -382,9 +365,7 @@ class Solver:
                     raise ResourceLimitError(
                         f"conflict budget {max_conflicts} exceeded")
                 if len(trail_lim) == 0:
-                    self.unsat = True
-                    if self.log_proof:
-                        self._derive_falsified(conflict)
+                    self._refute(conflict)
                     return False
                 learned, bj, chain = self._analyze(conflict)
                 self._decay()

@@ -228,6 +228,26 @@ def test_solver_timeout_exit_20(spec_file, sleepy_solver, capsys):
     assert "skolemkit: resource limit:" in err and "Traceback" not in err
 
 
+def test_solver_unknown_exit_20(tmp_path, spec_file, capsys):
+    sh = tmp_path / "unknown.sh"
+    sh.write_text("#!/bin/sh\ncat > /dev/null\necho 's UNKNOWN'\n")
+    sh.chmod(0o755)
+    assert main(["check-unique", spec_file, "--bit", "1", "--solver",
+                 f"exec:{sh}"]) == 20
+    err = capsys.readouterr().err
+    assert "skolemkit: resource limit:" in err and "Traceback" not in err
+
+
+def test_timeout_must_be_above_zero(spec_file, mini_solver, capsys):
+    for timeout in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as e:
+            main(["check-unique", spec_file, "--bit", "1", "--solver",
+                  f"exec:{mini_solver}", "--timeout", timeout])
+        assert e.value.code == 64
+        err = capsys.readouterr().err
+        assert "--timeout" in err and "Traceback" not in err
+
+
 def test_check_unique_exit_codes(tmp_path, spec_file):
     assert main(["check-unique", spec_file, "--bit", "1"]) == 0
     assert main(["check-unique", spec_file, "--bit", "2"]) == 64
@@ -331,6 +351,19 @@ def test_interp_exp_csv(tmp_path):
     assert [r["m"] for r in rows] == ["1", "2"]
     assert all(int(r["interpolantSize"]) >= 0 for r in rows)
     assert main(["interp-exp", "--m", "zero"]) == 64
+
+
+def test_json_report_to_stdout(spec_file, capsys):
+    assert main(["check-unique", spec_file, "--bit", "1",
+                 "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "check-unique" and report["unique"] is True
+
+
+def test_interp_exp_csv_to_stdout(capsys):
+    assert main(["interp-exp", "--m", "1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["m"], r["k"]) for r in rows] == [("1", "3")]
 
 
 def test_interp_exp_rejects_negative_conflict_budget(tmp_path, capsys):

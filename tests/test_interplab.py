@@ -9,13 +9,14 @@ from skolemkit.circuits import Builder
 from skolemkit.cnf import Cnf
 from skolemkit.formula import Specification
 from skolemkit.interplab import (InterpolationInapplicableError,
-                                 InterpolationInstance, ResolutionProof,
-                                 WidthBudgetError, bounded_width_refute,
-                                 check_proof, expand_chains,
-                                 extract_interpolant, relabel_axioms,
-                                 resolve_clauses, slivovsky_synth,
-                                 solve_with_proof)
+                                 InterpolationInstance, ProofError,
+                                 ResolutionProof, WidthBudgetError,
+                                 bounded_width_refute, check_proof,
+                                 expand_chains, extract_interpolant,
+                                 relabel_axioms, resolve_clauses,
+                                 slivovsky_synth, solve_with_proof)
 from skolemkit.oracle import Oracle
+from skolemkit.solver import _Clause
 from skolemkit.verify import verify_skolem
 
 
@@ -66,6 +67,35 @@ def test_invalid_proofs_rejected_with_index():
     bad.steps = list(proof.steps)
     bad.steps[0] = ("axiom", (-1, 1), "input")
     assert not check_proof(cnf, bad)
+
+
+def test_check_proof_rejects_forward_reference_and_wrong_resolvent():
+    cnf = Cnf(2)
+    cnf.add([1])
+    cnf.add([-1])
+    cnf.add([1, 2])
+    good = ResolutionProof()
+    good.steps = [("axiom", (1,), "input"), ("axiom", (-1,), "input"),
+                  ("resolve", 0, 1, 1, ())]
+    assert check_proof(cnf, good)
+    # step 1 names step 2, which comes after it
+    forward = ResolutionProof()
+    forward.steps = [("axiom", (1,), "input"), ("resolve", 0, 2, 1, ()),
+                     ("axiom", (-1,), "input"), ("resolve", 0, 2, 1, ())]
+    assert not check_proof(cnf, forward)
+    # (1, 2) and (-1,) resolve to (2,), not to the claimed empty clause
+    wrong = ResolutionProof()
+    wrong.steps = [("axiom", (1, 2), "input"), ("axiom", (-1,), "input"),
+                   ("resolve", 0, 1, 1, ())]
+    assert not check_proof(cnf, wrong)
+
+
+def test_expand_chains_rejects_bad_chains():
+    a, b = _Clause((1, 2)), _Clause((-1,))
+    with pytest.raises(ProofError, match="does not resolve"):
+        expand_chains((a, [(b, 2)]))        # b does not hold -2
+    with pytest.raises(ProofError, match="did not reach"):
+        expand_chains((a, [(b, 1)]))        # ends on (2,), not on ()
 
 
 def test_solve_with_proof_random_agreement():
@@ -289,6 +319,24 @@ def test_width_refutation_pinned(k, m, w, steps):
     status, proof = bounded_width_refute(inst.combined(), w)
     assert status == "refuted" and len(proof) == steps
     assert check_proof(inst.combined(), proof)
+
+
+def test_bounded_width_empty_input_clause():
+    cnf = Cnf(1)
+    cnf.add([1])
+    cnf.add([])
+    status, proof = bounded_width_refute(cnf, 0)
+    assert status == "refuted" and proof.steps == [("axiom", (), "input")]
+    assert check_proof(cnf, proof)
+
+
+def test_bounded_width_skips_tautologies():
+    # kept would reach 5 > max_clauses with the two tautologies; without
+    # them it holds the two other inputs and their one resolvent
+    cnf = Cnf(5)
+    for c in ([1, 2], [-1, 3], [4, -4], [5, -5]):
+        cnf.add(c)
+    assert bounded_width_refute(cnf, 2, max_clauses=3) == ("saturated", None)
 
 
 def test_bounded_width_sat_formula():

@@ -107,6 +107,21 @@ def test_external_bogus_model_rejected(tmp_path):
         solve_external(cnf, str(sh), 30)
 
 
+@pytest.mark.parametrize("answer, error", [
+    ("echo 's UNKNOWN'", ResourceLimitError),
+    ("echo 's MAYBE'", ExternalSolverError),
+    ("echo 's SATISFIABLE'\necho 'v 1 x 0'", ExternalSolverError),
+], ids=["unknown", "maybe", "bad-model-line"])
+def test_external_status_answers(tmp_path, answer, error):
+    sh = tmp_path / "answer.sh"
+    sh.write_text(f"#!/bin/sh\ncat > /dev/null\n{answer}\n")
+    sh.chmod(0o755)
+    cnf = Cnf(1)
+    cnf.add([1])
+    with pytest.raises(error):
+        solve_external(cnf, str(sh), 30)
+
+
 def test_external_timeout(tmp_path):
     sh = tmp_path / "slow.sh"
     sh.write_text("#!/bin/sh\ncat > /dev/null\nsleep 30\n")

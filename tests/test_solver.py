@@ -219,6 +219,27 @@ def test_empty_clause_unsat():
     assert not Solver(c).solve()
 
 
+@pytest.mark.parametrize("clauses, later, steps", [
+    ([[1, 2], []], None, 1),                # the empty clause
+    ([[1], [-1]], None, 3),                 # a falsified pending unit
+    ([[1], [1, 2]], [-1], 3),               # a clause false at the root
+    ([[1], [-1, 2], [-1, -2]], None, 5),    # a conflict at level 0
+], ids=["empty", "pending", "root-false", "level0"])
+def test_refutation_sites_log_checked_proofs(clauses, later, steps):
+    cnf = Cnf(2)
+    for c in clauses:
+        cnf.add(c)
+    s = Solver(cnf, log_proof=True)
+    if later is not None:
+        assert s.solve()
+        s.add_clause(later)
+        cnf.add(later)
+    assert not s.solve()
+    assert s.empty_chain is not None
+    proof = expand_chains(s.empty_chain)
+    assert len(proof.steps) == steps and check_proof(cnf, proof)
+
+
 def test_agrees_with_brute_force():
     rng = random.Random(11)
     sats = unsats = 0

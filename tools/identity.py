@@ -42,6 +42,10 @@ label prefix ``extra/``:
 * acceptance criterion 8's ``bounded_width_refute`` on the bPHP
   interpolation pairs (5,2) at w = 2..5 and (3,1) at w = 0 and 2: the
   verdict and the steps of the width proof;
+* the internal solver's four refutation sites in proof mode: an empty
+  clause, a falsified pending unit, a clause false at the root (added
+  after a SAT answer) and a conflict at level 0, each recorded as the
+  steps of ``expand_chains(empty_chain)``;
 * ``write_qdimacs`` of one spec per generator family;
 * ``skolemkit synth --strategy cover``, ``verify`` (of that synthesized
   vector), ``check-unique --bit 1`` and ``count --project x`` on the
@@ -124,8 +128,10 @@ def extra_jobs(workdir):
     """(label, run) for the code that the workloads do not reach."""
     from skolemkit import benchgen, cli, interplab, synth, verify
     from skolemkit.circuits import Builder
+    from skolemkit.cnf import Cnf
     from skolemkit.formula import Specification, emit_skolem, write_qdimacs
     from skolemkit.oracle import Oracle
+    from skolemkit.solver import Solver
 
     # the 16 count reports: planted(12, 10, 4) with seeds 1-2 on x, y and
     # xy, factor(5) on x and y, count seeds 0 and 7
@@ -234,6 +240,23 @@ def extra_jobs(workdir):
                     benchgen.BphpParams(k, m))
                 return interplab.bounded_width_refute(pair.combined(), w)
             yield f"width/{k}-{m}/w{w}", run
+
+    # the solver's refutation sites; root-false adds its clause after SAT
+    for name, clauses, later in [
+            ("empty", [[1, 2], []], None), ("pending", [[1], [-1]], None),
+            ("root-false", [[1], [1, 2]], [-1]),
+            ("level0", [[1], [-1, 2], [-1, -2]], None)]:
+        def run(clauses=clauses, later=later):
+            cnf = Cnf(2)
+            for c in clauses:
+                cnf.add(c)
+            s = Solver(cnf, log_proof=True)
+            if later is not None:
+                s.solve()
+                s.add_clause(later)
+            s.solve()
+            return interplab.expand_chains(s.empty_chain)
+        yield f"refute/{name}", run
 
     # write_qdimacs of one spec per generator family
     for name, make in [
