@@ -37,10 +37,6 @@ class Builder:
     def const(self, bit) -> int:
         return self._mk(("const", 1 if bit else 0))
 
-    def is_const(self, g: int):
-        gate = self.gates[g]
-        return gate[1] if gate[0] == "const" else None
-
     def not_(self, a: int) -> int:
         gate = self.gates[a]
         if gate[0] == "const":
@@ -50,32 +46,30 @@ class Builder:
         return self._mk(("not", a))
 
     def _binop(self, op: str, a: int, b: int) -> int:
+        # The hot path of every Builder user, so const-ness is read and
+        # the key hash-consed inline.  Each constant gate is unique (all
+        # gates enter through the cache), so a constant operand that
+        # absorbs (0 for AND, 1 for OR) is the folded result itself.
         if a > b:
             a, b = b, a
-        ca, cb = self.is_const(a), self.is_const(b)
-        if op == "and":
-            if ca == 0 or cb == 0:
-                return self.const(0)
-            if ca == 1:
-                return b
-            if cb == 1:
-                return a
-            if a == b:
-                return a
-            if self.gates[b] == ("not", a) or self.gates[a] == ("not", b):
-                return self.const(0)
-        else:  # or
-            if ca == 1 or cb == 1:
-                return self.const(1)
-            if ca == 0:
-                return b
-            if cb == 0:
-                return a
-            if a == b:
-                return a
-            if self.gates[b] == ("not", a) or self.gates[a] == ("not", b):
-                return self.const(1)
-        return self._mk((op, a, b))
+        gates = self.gates
+        ga, gb = gates[a], gates[b]
+        absorb = 0 if op == "and" else 1
+        if ga[0] == "const":
+            return a if ga[1] == absorb else b
+        if gb[0] == "const":
+            return b if gb[1] == absorb else a
+        if a == b:
+            return a
+        if gb == ("not", a) or ga == ("not", b):
+            return self.const(absorb)
+        key = (op, a, b)
+        g = self._cache.get(key)
+        if g is None:
+            g = len(gates)
+            gates.append(key)
+            self._cache[key] = g
+        return g
 
     def and_(self, a: int, b: int) -> int:
         return self._binop("and", a, b)

@@ -91,7 +91,8 @@ class Oracle:
     in which case a temporary file path is substituted.  Sessions are
     independent: answers depend only on the query and the engine.  Every
     solve, including each step of an enumeration, adds one to calls: a
-    Solver.solve run on "internal", a solver process on "exec:".
+    Solver.solve run on "internal", a solver process on "exec:".  timeout
+    (None, or seconds, finite and above 0) bounds each solver process.
     """
 
     def __init__(self, backend: str = "internal", *, timeout: float = None):
@@ -99,6 +100,9 @@ class Oracle:
                 or backend.startswith("exec:") and backend[5:].strip()):
             raise ValueError(f"solver backend must be internal or "
                              f"exec:COMMAND, got {backend!r}")
+        if timeout is not None and not 0 < timeout < float("inf"):
+            raise ValueError(f"timeout must be None or finite and above "
+                             f"0, got {timeout!r}")
         self.backend = backend
         self.timeout = timeout
         self.calls = 0

@@ -51,9 +51,18 @@ def _selector_vector(spec: Specification, tuples) -> SkolemVector:
     F enters each tuple by partial evaluation: its constant and X-only
     gates are built once, over the X inputs; gates reading only Y are
     evaluated for all tuples at once (bit j of a mask is the value under
-    tuple j); and only gates reading both are rebuilt per tuple.  The
-    selector has the same gate count and functions as one full copy of
-    F per tuple.
+    tuple j); and the gates reading both (mixed) are rebuilt once per
+    distinct Y-signature, the values under a tuple of the Y-only gates
+    that a mixed gate or the output reads.
+    A tuple whose signature was seen before reuses that rebuild's F:
+    rebuilding again would feed every mixed gate, in ascending order,
+    the same operand ids, and Builder's folding reads only the immutable
+    gates of its operands, so every key it reached is already cached; it
+    would create no gate and return the same id.  Stale remap entries of
+    mixed gates are harmless, as the next rebuild overwrites them in
+    ascending order before any is read.  So the gates are those of one
+    rebuild per tuple, in the same order, and the selector has the same
+    gate count and functions as one full copy of F per tuple.
     """
     b = Builder()
     one, zero = b.const(1), b.const(0)
@@ -71,22 +80,30 @@ def _selector_vector(spec: Specification, tuples) -> SkolemVector:
     # the Y-only gates that a mixed gate or the output reads
     yonly = sorted({c for i in mixed for c in gates[i][1:] if reads[c] == 2}
                    | ({out} if reads[out] == 2 else set()))
+    w = len(tuples)
     assign = dict.fromkeys(spec.x_vars, 0)
     for k, v in enumerate(spec.y_vars):
-        assign[v] = sum(bits[k] << j for j, bits in enumerate(tuples))
-    # bit j of cols[k] is the value of gate yonly[k] under tuple j
-    cols = Circuit(gates, yonly).eval_masks(assign, width=len(tuples))
+        # bit j is v's value in tuple j, so tuple 0 is the last digit
+        assign[v] = int("0" + "".join("01"[bits[k]]
+                                      for bits in reversed(tuples)), 2)
+    # row k, character j: the value of gate yonly[k] under tuple j (with
+    # no tuple a row reads "0", which the zip with tuples below drops)
+    rows = [format(col, f"0{w}b")[::-1]
+            for col in Circuit(gates, yonly).eval_masks(assign, width=w)]
+    sigs = zip(*rows) if rows else [()] * w
 
     remap = b.rebuild(spec.matrix, lambda v: b.inp(("x", xpos[v])),
                       [0] * len(gates),
                       [i for i, r in enumerate(reads) if r < 2])
+    seen = {}        # Y-signature -> F's id under it
     terms = []
     prefix = one     # no smaller tuple satisfies F
-    for j in range(len(tuples)):
-        for g, col in zip(yonly, cols):
-            remap[g] = one if col >> j & 1 else zero
-        b.rebuild(spec.matrix, None, remap, mixed)
-        fx = remap[out]
+    for _, sig in zip(tuples, sigs):
+        fx = seen.get(sig)
+        if fx is None:
+            for g, c in zip(yonly, sig):
+                remap[g] = one if c == "1" else zero
+            fx = seen[sig] = b.rebuild(spec.matrix, None, remap, mixed)[out]
         terms.append(b.and_(fx, prefix))
         prefix = b.and_(prefix, b.not_(fx))
     outs = []
@@ -107,9 +124,9 @@ def synth_lex(spec: Specification, m_limit: int = LEX_LIMIT) -> SkolemVector:
 
     Oracle-free; total size is bounded by |F|·m·2^{2m} (empirically far
     smaller thanks to shared prefix products and constant folding).
-    Per tuple only F's gates that read both X and Y are rebuilt; the
-    Y-only gates are evaluated once for all 2^m tuples (see
-    _selector_vector).  The selector is then swept.
+    F's gates that read both X and Y are rebuilt once per distinct
+    Y-signature; the Y-only gates are evaluated once for all 2^m tuples
+    (see _selector_vector).  The selector is then swept.
     """
     if spec.m > m_limit:
         raise ValueError(

@@ -132,6 +132,13 @@ def test_external_timeout(tmp_path):
         solve_external(cnf, str(sh), 0.2)
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0, -1])
+def test_oracle_rejects_bad_timeout(mini_solver, timeout):
+    # inf reached subprocess.run, which raised OverflowError
+    with pytest.raises(ValueError):
+        Oracle(backend=f"exec:{mini_solver}", timeout=timeout)
+
+
 def test_oracle_exec_backend(mini_solver):
     o = Oracle(backend=f"exec:{mini_solver}", timeout=30)
     cnf = Cnf(2)

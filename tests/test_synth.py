@@ -7,7 +7,7 @@ import pytest
 import skolemkit.synth as synth_mod
 from skolemkit.benchgen import (TrapParams, gen_factor, gen_planted_cover,
                                 gen_trap)
-from skolemkit.circuits import Builder, SkolemVector, input_masks
+from skolemkit.circuits import Builder, Circuit, SkolemVector, input_masks
 from skolemkit.formula import Specification
 from skolemkit.oracle import Oracle, labeled_rng
 from skolemkit.solver import ResourceLimitError, Solver
@@ -153,6 +153,60 @@ def test_lex_binop_count_pinned(monkeypatch):
     monkeypatch.setattr(Builder, "_binop", counted)
     synth_lex(gen_factor(5))
     assert len(calls) <= 50_000
+
+
+def test_lex_binop_count_pinned_at_factor6(monkeypatch):
+    # about 76,000 with one rebuild of F per Y-signature; 161,000 with
+    # one per tuple
+    calls = []
+    binop = Builder._binop
+
+    def counted(self, *args):
+        calls.append(None)
+        return binop(self, *args)
+    monkeypatch.setattr(Builder, "_binop", counted)
+    synth_lex(gen_factor(6))
+    assert len(calls) <= 90_000
+
+
+def test_lex_rebuilds_f_once_per_y_signature(monkeypatch):
+    spec = gen_factor(6)
+    gates, out = spec.matrix.gates, spec.matrix.outputs[0]
+    reads = []      # per gate: the kinds of input it reads
+    for gate in gates:
+        if gate[0] == "in":
+            reads.append({"y" if gate[1] in spec.y_vars else "x"})
+        elif gate[0] == "const":
+            reads.append(set())
+        else:
+            reads.append(reads[gate[1]] | reads[gate[-1]])
+    mixed = [g for g, r in zip(gates, reads) if r == {"x", "y"}]
+    # a tuple's signature: the Y-only gates that a mixed gate or F reads
+    yonly = sorted({c for g in mixed for c in g[1:] if reads[c] == {"y"}}
+                   | ({out} if reads[out] == {"y"} else set()))
+    width = 1 << spec.m
+    assign = {**dict.fromkeys(spec.x_vars, 0), **input_masks(spec.y_vars)}
+    cols = Circuit(gates, yonly).eval_masks(assign, width)
+    signatures = {tuple(col >> j & 1 for col in cols) for j in range(width)}
+    assert len(signatures) < width // 2     # 1,346 of 4,096
+
+    rebuilds = []
+    rebuild = Builder.rebuild
+
+    def counted(self, circuit, *args):
+        if circuit is spec.matrix:
+            rebuilds.append(None)
+        return rebuild(self, circuit, *args)
+    monkeypatch.setattr(Builder, "rebuild", counted)
+    synth_lex(spec)
+    # one more for F's constant and X-only gates
+    assert len(rebuilds) == len(signatures) + 1
+
+
+def test_selector_matches_reference_with_repeated_signatures():
+    spec = gen_factor(4)        # m = 8: 256 tuples, signatures repeat
+    assert_selector_matches_reference(
+        spec, list(itertools.product((0, 1), repeat=spec.m)))
 
 
 def test_lex_flatten_import_pinned(monkeypatch):

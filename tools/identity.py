@@ -38,6 +38,8 @@ label prefix ``extra/``:
 * the emitted ``bphp_lexfirst_skolem`` vectors of bPHP (3,1), (4,1),
   (3,2), (5,2) and (9,3), the lexFirstSize denominators of acceptance
   criterion 10;
+* the emitted ``synth_lex`` vector of factor(7), a selector over 2^14
+  output tuples, more than any workload's;
 * the CSV of ``skolemkit interp-exp --m 1..2``;
 * acceptance criterion 8's ``bounded_width_refute`` on the bPHP
   interpolation pairs (5,2) at w = 2..5 and (3,1) at w = 0 and 2: the
@@ -225,6 +227,9 @@ def extra_jobs(workdir):
             return emit_skolem(benchgen.bphp_lexfirst_skolem(
                 benchgen.BphpParams(k, m, regime)))
         yield f"bphp-truth/{k}-{m}", run
+
+    yield "lex/factor7", lambda: emit_skolem(
+        synth.synth_lex(benchgen.gen_factor(7)))
 
     def run():
         path = os.path.join(workdir, "interp.csv")
