@@ -46,8 +46,8 @@ class ResolutionProof:
         return len(self.steps) - 1
 
     def add_resolve(self, left: int, right: int, pivot: int, clause) -> int:
-        self.steps.append(
-            ("resolve", left, right, pivot, tuple(sorted(clause))))
+        """clause: the resolvent as a sorted tuple (see resolve_clauses)."""
+        self.steps.append(("resolve", left, right, pivot, clause))
         return len(self.steps) - 1
 
     def clause(self, idx: int):
@@ -62,15 +62,18 @@ class ResolutionProof:
 
 
 def resolve_clauses(left, right, pivot: int):
-    """Binary resolution on variable pivot; None if the rule misfires."""
-    ls, rs = set(left), set(right)
-    if pivot in ls and -pivot in rs:
-        pass
-    elif pivot in rs and -pivot in ls:
-        ls, rs = rs, ls
-    else:
-        return None
-    return tuple(sorted((ls - {pivot}) | (rs - {-pivot})))
+    """Binary resolution on variable pivot, as a sorted tuple; None if the
+    rule misfires."""
+    if not (pivot in left and -pivot in right):
+        if not (pivot in right and -pivot in left):
+            return None
+        left, right = right, left
+    res = set(right)
+    res.remove(-pivot)
+    res.update(left)
+    if pivot not in right:
+        res.discard(pivot)
+    return tuple(sorted(res))
 
 
 def check_proof(cnf: Cnf, proof: ResolutionProof) -> bool:
@@ -128,16 +131,15 @@ def expand_chains(empty_chain) -> ResolutionProof:
     def replay(chain, expect: set) -> int:
         start, steps = chain
         idx = build(start)
-        cur = set(start.lits)
+        cur = start.lits
         for reason, pivot in steps:
             ridx = build(reason)
-            nxt = resolve_clauses(tuple(cur), reason.lits, pivot)
-            if nxt is None:
+            cur = resolve_clauses(cur, reason.lits, pivot)
+            if cur is None:
                 raise ProofError(
                     f"recorded chain does not resolve on {pivot}")
-            idx = proof.add_resolve(idx, ridx, pivot, nxt)
-            cur = set(nxt)
-        if cur != expect:
+            idx = proof.add_resolve(idx, ridx, pivot, cur)
+        if set(cur) != expect:
             raise ProofError("chain replay did not reach the learned clause")
         return idx
 

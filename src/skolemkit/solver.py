@@ -11,9 +11,15 @@ Level, reason, saved phase and activity are indexed by variable.  Values
 and watch lists are indexed by literal: a list of length 2*cap + 1 holds
 literal v at index v and literal -v, through Python's negative indexing,
 at index 2*cap + 1 - v.  ``ensure_vars`` doubles the capacity, so every
-literal must pass through it before it is looked up.  The 1UIP loop
-counts the current-level literals of the clause being derived (Zhang et
-al., ICCAD 2001) instead of recounting them after every resolution.
+literal must pass through it before it is looked up.  A clause of two or
+more literals holds its two watched literals in the slots w0 and w1 and
+sits once in each of their watch lists; propagation keeps the literal
+just made false in w1.  The decision heap holds (-activity, var)
+entries, valid while they match the variable's activity; an entry is
+pushed when its variable is unassigned, since every bumped variable is
+assigned.  The 1UIP loop counts the current-level literals of the clause
+being derived (Zhang et al., ICCAD 2001) instead of recounting them
+after every resolution.
 """
 
 from __future__ import annotations
@@ -42,12 +48,12 @@ def luby(i: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "chain", "w")
+    __slots__ = ("lits", "chain", "w0", "w1")
 
     def __init__(self, lits, chain=None):
         self.lits = lits
         self.chain = chain  # (start_cl, [(reason_cl, pivot_var), ...]) or None
-        self.w = None       # the two watched literals
+        self.w0 = self.w1 = None  # the two watched literals
 
 
 class Solver:
@@ -102,7 +108,7 @@ class Solver:
         self.nvars = n
 
     def _watch(self, cl: _Clause, a: int, b: int):
-        cl.w = [a, b]
+        cl.w0, cl.w1 = a, b
         self.watches[a].append(cl)
         self.watches[b].append(cl)
 
@@ -183,10 +189,10 @@ class Solver:
             n = len(watchlist)
             while i < n:
                 cl = watchlist[i]
-                w = cl.w
-                other = w[0]
-                if other == false_lit:
-                    other = w[1]
+                other = cl.w0
+                if other == false_lit:  # keep false_lit in w1
+                    other = cl.w0 = cl.w1
+                    cl.w1 = false_lit
                 v_other = vals[other]
                 if v_other is True:
                     i += 1
@@ -194,7 +200,7 @@ class Solver:
                 # look for a replacement watch (false_lit itself is False)
                 for cand in cl.lits:
                     if vals[cand] is not False and cand != other:
-                        w[w[1] == false_lit] = cand  # false_lit's slot
+                        cl.w1 = cand
                         watches[cand].append(cl)
                         n -= 1
                         last = watchlist.pop()
@@ -218,9 +224,9 @@ class Solver:
     # ---------- heuristics ----------
 
     def _bump(self, variables):
-        """Raise the activity of each variable in turn."""
-        activity, heap, live, inc = (self.activity, self.heap, self.live,
-                                     self.var_inc)
+        """Raise the activity of each variable in turn.  Every variable
+        bumped is assigned, so its entry is pushed when it is unassigned."""
+        activity, live, inc = self.activity, self.live, self.var_inc
         for var in variables:
             activity[var] += inc
             if activity[var] > 1e100:
@@ -228,8 +234,7 @@ class Solver:
                 inc *= 1e-100
                 # entries of activity 0 are the only ones still valid
                 live[:] = [a if a == 0 else None for a in live]
-            heappush(heap, (-activity[var], var))
-            live[var] = activity[var]
+            live[var] = None
         self.var_inc = inc
 
     def _decay(self):

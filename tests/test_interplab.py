@@ -45,6 +45,18 @@ def random_cnf(rng, nv, factor=4.0):
 def test_resolve_clauses():
     assert resolve_clauses((1, 2), (-1, 3), 1) == (2, 3)
     assert resolve_clauses((1, 2), (1, 3), 1) is None
+    assert resolve_clauses((-1, 2), (1, 3), 1) == (2, 3)  # pivot on the right
+    assert resolve_clauses((1, 2), (-1, 2), 1) == (2,)
+    assert resolve_clauses((5, 1), (-1, -3), 1) == (-3, 5)  # sorted
+    # the pivot missing from one side
+    assert resolve_clauses((1, 2), (2, 3), 1) is None
+    assert resolve_clauses((2,), (-1, 3), 1) is None
+    assert resolve_clauses((), (-1,), 1) is None
+    assert resolve_clauses([3, 1], [-1, 2], 1) == (2, 3)
+    assert resolve_clauses([1], [-1], 1) == ()
+    # a tautological premise keeps its other pivot literal
+    assert resolve_clauses((1, -1, 2), (-1, 3), 1) == (-1, 2, 3)
+    assert resolve_clauses((1, 2), (-1, 1, 3), 1) == (1, 2, 3)
 
 
 def test_trivial_refutation_checks():

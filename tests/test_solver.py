@@ -1,8 +1,10 @@
 import itertools
 import random
+from heapq import heappush
 
 import pytest
 
+from skolemkit import solver
 from skolemkit.benchgen import BphpParams, bphp_interpolation_pair, gen_factor
 from skolemkit.cnf import Cnf
 from skolemkit.interplab import check_proof, expand_chains
@@ -48,9 +50,23 @@ def test_assumptions():
     assert not s2.solve([-1, -2])
 
 
+def check_watches(s):
+    """Each attached clause watches two distinct literals of its own and
+    sits exactly once in each of their watch lists and in no other."""
+    lists = {}
+    for wl in s.watches:
+        for cl in wl:
+            lists.setdefault(cl, []).append(id(wl))
+    for cl, ids in lists.items():
+        assert len(cl.lits) >= 2 and cl.w0 != cl.w1
+        assert cl.w0 in cl.lits and cl.w1 in cl.lits
+        assert sorted(ids) == sorted(id(s.watches[w]) for w in (cl.w0, cl.w1))
+
+
 def test_reused_solver_under_changing_assumptions():
     # one Solver per CNF: solves under changing assumption sets with
     # blocking clauses added in between, each answer checked by brute force
+    # and the watches checked after every solve and blocking clause
     rng = random.Random(31)
     assumption_unsats = 0
     for _ in range(40):
@@ -63,6 +79,7 @@ def test_reused_solver_under_changing_assumptions():
             assumptions = [v if rng.getrandbits(1) else -v for v in picked]
             under = Cnf(ref.nvars, ref.clauses + [[a] for a in assumptions])
             got = s.solve(assumptions)
+            check_watches(s)
             assert got == (brute_sat(under) is not None)
             base_sat = brute_sat(ref) is not None
             # only a refutation of the formula itself marks it unsat
@@ -74,6 +91,7 @@ def test_reused_solver_under_changing_assumptions():
                 block = [-v if model[v] else v for v in rng.sample(
                     range(1, cnf.nvars + 1), rng.randint(1, cnf.nvars))]
                 s.add_clause(block)
+                check_watches(s)
                 ref.add(block)
             elif base_sat:
                 assumption_unsats += 1
@@ -95,7 +113,8 @@ def test_growing_session_against_brute_force():
     # queries do: each step defines a fresh variable as the parity of two
     # older ones (the clauses of cnf.xor_literal), may add a clause over
     # the newest variables, and solves under assumptions on them, one of
-    # which may name a variable no clause has mentioned yet
+    # which may name a variable no clause has mentioned yet; the watches
+    # are checked after every solve and blocking clause
     rng = random.Random(47)
     refutations = assumption_unsats = 0
     for _ in range(40):
@@ -117,6 +136,7 @@ def test_growing_session_against_brute_force():
                 assumptions.append(rng.choice([1, -1]) * ref.fresh())
             under = Cnf(ref.nvars, ref.clauses + [[l] for l in assumptions])
             got = s.solve(assumptions)
+            check_watches(s)
             assert got == (brute_sat(under) is not None)
             base_sat = brute_sat(ref) is not None
             assert not (s.unsat and base_sat)
@@ -127,6 +147,7 @@ def test_growing_session_against_brute_force():
                 block = [-v if model[v] else v for v in rng.sample(
                     range(1, t + 1), rng.randint(1, 3))]
                 s.add_clause(block)
+                check_watches(s)
                 ref.add(block)
             elif base_sat:
                 assumption_unsats += 1
@@ -325,3 +346,17 @@ def test_search_pinned(make, args, conflicts, steps):
     assert not s.solve()
     assert ((s.conflicts, len(expand_chains(s.empty_chain)))
             == (conflicts, steps))
+
+
+def test_heap_pushes_bounded(monkeypatch):
+    # a variable's heap entry is pushed when it is unassigned, not at each
+    # bump: bPHP(9,3) made 56,039 pushes when bumps pushed, 24,100 without
+    pushes = 0
+
+    def counted(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, item)
+    monkeypatch.setattr(solver, "heappush", counted)
+    assert not Solver(_bphp_pair(9, 3), log_proof=True).solve()
+    assert pushes <= 30000

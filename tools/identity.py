@@ -40,6 +40,9 @@ label prefix ``extra/``:
   criterion 10;
 * the emitted ``synth_lex`` vector of factor(7), a selector over 2^14
   output tuples, more than any workload's;
+* the answer and ``Solver.conflicts`` of the refutation of the error
+  formula of the lex vectors of factor(5), factor(6) and trap(10, 8, 4)
+  seed 1: ``lex-factor``'s outputs do not depend on the search;
 * the CSV of ``skolemkit interp-exp --m 1..2``;
 * acceptance criterion 8's ``bounded_width_refute`` on the bPHP
   interpolation pairs (5,2) at w = 2..5 and (3,1) at w = 0 and 2: the
@@ -230,6 +233,17 @@ def extra_jobs(workdir):
 
     yield "lex/factor7", lambda: emit_skolem(
         synth.synth_lex(benchgen.gen_factor(7)))
+
+    for name, make in [
+            ("factor-5", lambda: benchgen.gen_factor(5)),
+            ("factor-6", lambda: benchgen.gen_factor(6)),
+            ("trap-10-8-4", lambda: benchgen.gen_trap(
+                benchgen.TrapParams(10, 8, 4, seed=1))[0])]:
+        def run(make=make):
+            spec = make()
+            s = Solver(verify.build_error_formula(spec, synth.synth_lex(spec)))
+            return [s.solve(), s.conflicts]
+        yield f"search/{name}", run
 
     def run():
         path = os.path.join(workdir, "interp.csv")
