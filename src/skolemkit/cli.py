@@ -221,18 +221,24 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+# interp-exp builds the lex-first ground truth of bPHP(2^m + 1, m) before
+# any conflict budget applies: m = 6 takes seconds and hundreds of MB
+M_MAX = 6
+
+
 def _parse_mrange(text: str):
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            vals = list(range(int(lo), int(hi) + 1))
+            vals = range(int(lo), int(hi) + 1)
         else:
             vals = [int(t) for t in text.split(",")]
     except ValueError:
         raise UsageError(f"bad m range {text!r} (use e.g. 1..3 or 1,2,3)")
-    if not vals or any(v < 1 for v in vals):
-        raise UsageError(f"bad m range {text!r}")
-    return vals
+    if not vals or any(not 1 <= v <= M_MAX for v in vals):
+        raise UsageError(f"bad m range {text!r} (each m must be in "
+                         f"1..{M_MAX})")
+    return list(vals)
 
 
 def _cmd_interp_exp(args) -> int:
@@ -330,7 +336,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("interp-exp",
                         help="interpolant-size experiment over bPHP")
-    sp.add_argument("--m", default="1..3", help="range, e.g. 1..3")
+    sp.add_argument("--m", default="1..3",
+                    help=f"range, e.g. 1..3 or 1,2,3, of m in 1..{M_MAX}")
     sp.add_argument("-o", "--output", default="-", help="CSV path")
     sp.add_argument("--max-conflicts", type=at_least(0), default=None)
     sp.set_defaults(func=_cmd_interp_exp)

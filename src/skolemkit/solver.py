@@ -20,10 +20,18 @@ pushed when its variable is unassigned, since every bumped variable is
 assigned.  The 1UIP loop counts the current-level literals of the clause
 being derived (Zhang et al., ICCAD 2001) instead of recounting them
 after every resolution.
+
+``Solver(cnf)`` loads the CNF in one pass, as MiniSat sets up a fresh
+solver: it sizes the arrays once, drops repeated literals and
+tautologies, watches the first two literals of each longer clause in
+clause order and queues each unit.  ``add_clause`` serves the clauses
+added between solves; both share ``_distinct``, and on an empty trail
+they attach a clause alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappush, heappop
 from operator import neg
 
@@ -56,6 +64,15 @@ class _Clause:
         self.w0 = self.w1 = None  # the two watched literals
 
 
+def _distinct(lits) -> tuple | None:
+    """lits without repeated literals, in first-occurrence order, or None
+    for a tautology."""
+    clause = tuple(dict.fromkeys(lits))
+    if not set(clause).isdisjoint(map(neg, clause)):
+        return None
+    return clause
+
+
 class Solver:
     def __init__(self, cnf: Cnf = None, log_proof: bool = False):
         self.nvars = 0
@@ -80,10 +97,28 @@ class Solver:
         self.conflicts = 0
         self.pending_units: list = []  # (lit, clause) to enqueue at level 0
         self.resume = None  # assumptions of the SAT answer the trail holds
-        if cnf is not None:
-            self.ensure_vars(cnf.nvars)
-            for c in cnf.clauses:
-                self.add_clause(c)
+        if cnf is None:
+            return
+        clauses = cnf.clauses
+        self.ensure_vars(max(cnf.nvars, max(
+            map(abs, itertools.chain.from_iterable(clauses)), default=0)))
+        # what add_clause does on an empty trail, where no literal is false
+        watches, pending = self.watches, self.pending_units
+        for c in clauses:
+            lits = tuple(c)
+            if len(set(map(abs, lits))) != len(lits):
+                lits = _distinct(lits)
+                if lits is None:
+                    continue  # tautology
+            cl = _Clause(lits)
+            if len(lits) > 1:
+                a, b = cl.w0, cl.w1 = lits[0], lits[1]
+                watches[a].append(cl)
+                watches[b].append(cl)
+            elif lits:
+                pending.append((lits[0], cl))
+            else:
+                self._refute(cl)
 
     # ---------- setup ----------
 
@@ -124,18 +159,19 @@ class Solver:
         a cell's models are enumerated without restarts (Toda & Soh, ACM
         JEA 2016).  A blocking clause is not implied, so a proof-logging
         solver always takes the root-level path."""
-        clause = list(dict.fromkeys(lits))
-        self.ensure_vars(max(map(abs, clause), default=0))
-        if not set(clause).isdisjoint(map(neg, clause)):
+        lits = tuple(lits)
+        self.ensure_vars(max(map(abs, lits), default=0))
+        clause = _distinct(lits)
+        if clause is None:
             return None  # tautology
-        cl = _Clause(tuple(clause))
+        cl = _Clause(clause)
         if not clause:
             self._refute(cl)
             return cl
         vals, level = self.vals, self.level
         if (self.trail_lim and not self.log_proof and len(clause) > 1
                 and all(vals[l] is False for l in clause)):
-            clause.sort(key=lambda l: -level[abs(l)])
+            clause = sorted(clause, key=lambda l: -level[abs(l)])
             top, second = level[abs(clause[0])], level[abs(clause[1])]
             if top:
                 self._backjump(second if top > second else top - 1)

@@ -353,6 +353,16 @@ def test_interp_exp_csv(tmp_path):
     assert main(["interp-exp", "--m", "zero"]) == 64
 
 
+@pytest.mark.parametrize("m", ["7", "40", "1..7", "5,7", "1..1000000000000",
+                               "0..2", "3..2"])
+def test_interp_exp_rejects_m_out_of_range(m, capsys):
+    # m above 6 asks for a ground truth over 2^m + 1 pigeons that no
+    # conflict budget bounds; the check runs before any row is computed
+    assert main(["interp-exp", "--m", m, "--max-conflicts", "1"]) == 64
+    err = capsys.readouterr().err
+    assert "1..6" in err and "Traceback" not in err
+
+
 def test_json_report_to_stdout(spec_file, capsys):
     assert main(["check-unique", spec_file, "--bit", "1",
                  "--json", "-"]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from heapq import heappush
 
 import pytest
@@ -360,3 +361,68 @@ def test_heap_pushes_bounded(monkeypatch):
     monkeypatch.setattr(solver, "heappush", counted)
     assert not Solver(_bphp_pair(9, 3), log_proof=True).solve()
     assert pushes <= 30000
+
+
+def _watch_state(s):
+    """nvars, every watch list of literals +-1..nvars as (lits, w0, w1)
+    in list order, the pending units as (lit, lits), unsat."""
+    lits = [l for v in range(1, s.nvars + 1) for l in (v, -v)]
+    return (s.nvars,
+            [[(cl.lits, cl.w0, cl.w1) for cl in s.watches[l]] for l in lits],
+            [(lit, cl.lits) for lit, cl in s.pending_units], s.unsat)
+
+
+def test_one_pass_load_matches_add_clause():
+    # Solver(cnf) against Solver() fed cnf.clauses by add_clause, on
+    # clauses with repeated literals, tautologies, units, the empty
+    # clause and variables above cnf.nvars, with and without proofs
+    rng = random.Random(101)
+    shapes = Counter()
+    for trial in range(200):
+        nv = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(0, 14)):
+            w = rng.choice([0, 1, 1, 2, 3, 3, 4, 6]) if trial % 4 else \
+                rng.randint(1, 4)
+            clauses.append([rng.choice([1, -1]) * rng.randint(1, nv + 3)
+                            for _ in range(w)])
+        for c in clauses:
+            shapes["repeat" if len(set(c)) < len(c) else "distinct"] += 1
+            shapes["tautology"] += not set(c).isdisjoint(-l for l in c)
+            shapes["above"] += any(abs(l) > nv for l in c)
+            shapes[f"length{min(len(set(c)), 2)}"] += 1
+        cnf = Cnf(nv, clauses)
+        for log_proof in (False, True):
+            got = Solver(cnf, log_proof=log_proof)
+            ref = Solver(log_proof=log_proof)
+            ref.ensure_vars(cnf.nvars)
+            for c in cnf.clauses:
+                ref.add_clause(c)
+            assert _watch_state(got) == _watch_state(ref)
+            if log_proof and got.empty_chain is not None:
+                assert check_proof(cnf, expand_chains(got.empty_chain))
+                shapes["refuted"] += 1
+            # the same search follows
+            assert got.solve() == ref.solve()
+            assert got.conflicts == ref.conflicts
+            if log_proof and got.unsat:
+                assert (expand_chains(got.empty_chain).steps
+                        == expand_chains(ref.empty_chain).steps)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_one_pass_load_calls_no_add_clause(monkeypatch):
+    # Solver(cnf) attaches its clauses without add_clause: the factor(6)
+    # error formula made 2,409 calls when the constructor called it
+    calls = 0
+    add_clause = Solver.add_clause
+
+    def counted(self, lits):
+        nonlocal calls
+        calls += 1
+        return add_clause(self, lits)
+    cnf = _factor_error(6)
+    monkeypatch.setattr(Solver, "add_clause", counted)
+    s = Solver(cnf)
+    assert calls == 0
+    assert s.nvars == cnf.nvars

@@ -23,7 +23,11 @@ metric of ``BENCHMARK.json``, each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the
 change wins and the metric's bound, and writes the record to PATH in
 the schema of ``BENCH_21.json``, with the traced runs under ``traced``
-and ``claim`` left null.
+and ``claim`` left null.  The record also carries the run's verdict:
+``identity_compare_exit``, the exit status of ``identity.py
+--compare``; ``criteria``, each tree's criterion lines by number, and
+``pytest_exit``, each tree's pytest exit status, under ``parent`` and
+``change``; and ``exit``, the status this tool exits with.
 
 Exits 1 if a function differs (see identity.py), if a criterion line on
 either tree is missing or not PASS, if pytest fails on either tree, or
@@ -147,8 +151,8 @@ def summarize(runs, n: int, metrics) -> dict:
     return out
 
 
-def bench_pairs(trees: dict, parent_rev: str, json_path) -> bool:
-    """Run and print the pairs and traced runs, write the record; True if
+def bench_pairs(trees: dict, parent_rev: str):
+    """Run and print the pairs and traced runs; the record, and True if
     every run is clean."""
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
@@ -204,11 +208,8 @@ def bench_pairs(trees: dict, parent_rev: str, json_path) -> bool:
         "runs": runs,
         "traced": traced,
     }
-    with open(json_path, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    return not any(r["exit"] or r["failed"] or not r["correct"]
-                   for r in runs + traced)
+    return record, not any(r["exit"] or r["failed"] or not r["correct"]
+                           for r in runs + traced)
 
 
 def main(argv) -> int:
@@ -254,8 +255,17 @@ def main(argv) -> int:
             change = tmp / "change"
             change.mkdir()
             copy_working_tree(change)
-            failing |= not bench_pairs({"parent": parent, "change": change},
-                                       args.parent_rev, args.json)
+            record, clean = bench_pairs({"parent": parent, "change": change},
+                                        args.parent_rev)
+            failing |= not clean
+            record.update(
+                identity_compare_exit=differs,
+                criteria=dict(zip(SIDES, (lines_a, lines_b))),
+                pytest_exit=dict(zip(SIDES, (status_a, status_b))),
+                exit=1 if differs or failing else 0)
+            with open(args.json, "w") as fh:
+                json.dump(record, fh, indent=1)
+                fh.write("\n")
     return 1 if differs or failing else 0
 
 

@@ -43,6 +43,12 @@ label prefix ``extra/``:
 * the answer and ``Solver.conflicts`` of the refutation of the error
   formula of the lex vectors of factor(5), factor(6) and trap(10, 8, 4)
   seed 1: ``lex-factor``'s outputs do not depend on the search;
+* the answer, ``Solver.conflicts`` and the steps of
+  ``expand_chains(empty_chain)`` of proof-logging refutations of the
+  bPHP(5,2) interpolation pair and the factor(4) lex error formula, each
+  rewritten with repeated literals, added tautologies and a declared
+  ``nvars`` below its largest variable, so that the two trees'
+  normalization of the clauses a solver loads is compared;
 * the CSV of ``skolemkit interp-exp --m 1..2``;
 * acceptance criterion 8's ``bounded_width_refute`` on the bPHP
   interpolation pairs (5,2) at w = 2..5 and (3,1) at w = 0 and 2: the
@@ -66,6 +72,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -244,6 +251,32 @@ def extra_jobs(workdir):
             s = Solver(verify.build_error_formula(spec, synth.synth_lex(spec)))
             return [s.solve(), s.conflicts]
         yield f"search/{name}", run
+
+    def messy(cnf, seed):
+        """cnf with literals repeated, tautologies added and half its
+        nvars declared: the same formula to a solver."""
+        rng = random.Random(seed)
+        clauses = []
+        for c in cnf.clauses:
+            c = list(c)
+            if c and rng.random() < 0.3:
+                c.insert(rng.randrange(len(c) + 1), rng.choice(c))
+            clauses.append(c)
+            if rng.random() < 0.1:
+                v = rng.randint(1, cnf.nvars)
+                clauses.append([v, *c, -v])
+        return Cnf(cnf.nvars // 2, clauses)
+    for name, make in [
+            ("bphp-5-2", lambda: benchgen.bphp_interpolation_pair(
+                benchgen.BphpParams(5, 2)).combined()),
+            ("factor-4", lambda: verify.build_error_formula(
+                benchgen.gen_factor(4),
+                synth.synth_lex(benchgen.gen_factor(4))))]:
+        def run(make=make):
+            s = Solver(messy(make(), 1), log_proof=True)
+            return [s.solve(), s.conflicts,
+                    interplab.expand_chains(s.empty_chain)]
+        yield f"load/{name}", run
 
     def run():
         path = os.path.join(workdir, "interp.csv")
